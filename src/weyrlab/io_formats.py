@@ -101,15 +101,18 @@ def pencil_from_dict(data: Any) -> OperatorPencil:
     return OperatorPencil(n, e_mat, a_mat)
 
 
-def load_pencil(path: str) -> OperatorPencil:
+def _load_json(path: str, what: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read pencil file: {exc}") from exc
+        raise ParseError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"pencil file is not valid JSON: {exc}") from exc
-    return pencil_from_dict(data)
+        raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_pencil(path: str) -> OperatorPencil:
+    return pencil_from_dict(_load_json(path, "pencil"))
 
 
 def save_pencil(p: OperatorPencil, path: str):
@@ -151,14 +154,7 @@ def relation_from_dict(data: Any) -> LinearRelation:
 
 
 def load_relation(path: str) -> LinearRelation:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read relation file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"relation file is not valid JSON: {exc}") from exc
-    return relation_from_dict(data)
+    return relation_from_dict(_load_json(path, "relation"))
 
 
 # -- report serialization ---------------------------------------------------------

@@ -5,9 +5,10 @@ resolvent-based forms of both, Jordan-chain root subspaces via the
 staircase iteration, Weyr tables, the exact spectrum over Q(i), and a
 Weierstrass-form generator for test pencils.
 
-The staircase iteration here and the relation-power computation in
-relations.py are deliberately independent routes to the same subspaces;
-the test suites require them to agree exactly.
+`root_chain` runs the staircase once per point, and `root_subspace` and
+`weyr_table` are read from that chain.  The staircase here and the
+relation composition in relations.py are deliberately independent routes
+to the same subspaces; the test suites require them to agree exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .linalg import (
     rref,
 )
 from .polynomials import Polynomial, pencil_det_poly
-from .relations import LinearRelation, WeyrTable
+from .relations import LinearRelation, WeyrTable, chain_level
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr, lex_key
 
 __all__ = ["OperatorPencil", "SpectrumReport", "CanonicalSpec", "jordan_block"]
@@ -198,20 +199,8 @@ class OperatorPencil:
             return self.e_mat, self.a_mat
         return self.a_mat - self.e_mat.scale(at), self.e_mat
 
-    def root_subspace(self, at: ExtendedScalar, k: int) -> Subspace:
-        """Endpoints of Jordan chains of length <= k at the given point."""
-        if k <= 0:
-            return Subspace.zero(self.n)
-        step, feed = self._chain_maps(at)
-        space = null_space(step)
-        for _ in range(k - 1):
-            nxt = map_preimage(step, map_image(feed, space))
-            if nxt == space:
-                break
-            space = nxt
-        return space
-
-    def _root_chain(self, at: ExtendedScalar) -> list[Subspace]:
+    def root_chain(self, at: ExtendedScalar) -> list[Subspace]:
+        """Endpoints of Jordan chains of length <= k, for k = 1.. until stabilization."""
         step, feed = self._chain_maps(at)
         spaces: list[Subspace] = []
         space = null_space(step)
@@ -224,16 +213,22 @@ class OperatorPencil:
             space = map_preimage(step, map_image(feed, space))
         return spaces
 
+    def root_subspace(self, at: ExtendedScalar, k: int) -> Subspace:
+        """S_k of the staircase chain at the given point; zero for k <= 0."""
+        return chain_level(self.root_chain(at), k, Subspace.zero(self.n))
+
     def weyr_table(self, at: ExtendedScalar) -> WeyrTable:
         """Weyr characteristic from the Jordan-chain staircase iteration."""
         self._require_regular()
-        dims = [s.dim for s in self._root_chain(at)]
-        indices = tuple(d - p for d, p in zip(dims, [0] + dims[:-1]))
-        return WeyrTable(at=at, indices=indices, root_dims=tuple(dims))
+        return WeyrTable.from_chain(at, self.root_chain(at))
 
     # -- spectrum -------------------------------------------------------------
 
     def spectrum(self) -> SpectrumReport:
+        return self._spectrum
+
+    @cached_property
+    def _spectrum(self) -> SpectrumReport:
         self._require_regular()
         roots, residual = gaussian_rational_roots(self.det_poly)
         return SpectrumReport(

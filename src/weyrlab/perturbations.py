@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, NotRegularError, ParseError
 from .linalg import (
@@ -35,7 +36,7 @@ from .linalg import (
 )
 from .pencils import CanonicalSpec, OperatorPencil, sorted_points
 from .polynomials import minor_gcd_poly, poly_gcd, squarefree_part
-from .relations import LinearRelation, WeyrTable
+from .relations import LinearRelation, WeyrTable, chain_level
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, format_extended, gr
 
 __all__ = [
@@ -141,11 +142,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial of any suite; suites that build no pencil leave base and perturbed None."""
+
     trial_id: int
-    base: OperatorPencil
-    perturbed: OperatorPencil
-    tables: tuple[tuple[ExtendedScalar, WeyrTable, WeyrTable], ...]
-    violations: tuple[Violation, ...]
+    base: OperatorPencil | None = None
+    perturbed: OperatorPencil | None = None
+    tables: tuple[tuple[ExtendedScalar, WeyrTable, WeyrTable], ...] = ()
+    violations: tuple[Violation, ...] = ()
     spec: PerturbationSpec | None = None
     distance: int | None = None
 
@@ -271,14 +274,6 @@ class VerificationReport:
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    trial_id: int
-    violations: tuple[Violation, ...]
-    base: OperatorPencil | None = None
-    perturbed: OperatorPencil | None = None
-
-
 def _rng(suite: str, seed: int, trial_id: int) -> random.Random:
     return random.Random(f"{suite}:{seed}:{trial_id}")
 
@@ -376,20 +371,23 @@ class TrialInputs:
     t_mat: Matrix
     pspec: PerturbationSpec
 
+    @cached_property
     def base(self) -> OperatorPencil:
         return OperatorPencil.from_canonical(self.blocks).apply_equivalence(self.s_mat, self.t_mat)
 
+    @cached_property
+    def perturbed(self) -> OperatorPencil:
+        return apply_perturbation(self.base, self.pspec)
+
 
 def _evaluate_trial(inputs: TrialInputs) -> TrialResult:
-    base = inputs.base()
-    pert = apply_perturbation(base, inputs.pspec)
+    base, pert = inputs.base, inputs.perturbed
     if not pert.is_regular:
         return TrialResult(
             inputs.trial_id,
             base,
             pert,
-            (),
-            (Violation("perturbed_pencil_not_regular"),),
+            violations=(Violation("perturbed_pencil_not_regular"),),
             spec=inputs.pspec,
         )
     tables, violations = _delta_tables(base, pert, None)
@@ -487,15 +485,12 @@ def random_trial(config: SuiteConfig, trial_id: int, kind: str | None = None) ->
     inputs = None
     for _ in range(config.retry_cap):
         pspec = _random_perturbation(rng, n, config.entry_bound, kind)
-        candidate = TrialInputs(trial_id, blocks, s_mat, t_mat, pspec)
-        if apply_perturbation(candidate.base(), pspec).is_regular:
-            inputs = candidate
+        inputs = TrialInputs(trial_id, blocks, s_mat, t_mat, pspec)
+        if inputs.perturbed.is_regular:
             break
-    if inputs is None:
-        base = OperatorPencil.from_canonical(blocks).apply_equivalence(s_mat, t_mat)
-        return TrialResult(
-            trial_id, base, base, (), (Violation("generation_retry_cap_exhausted"),)
-        )
+    else:
+        base = inputs.base if inputs else OperatorPencil.from_canonical(blocks).apply_equivalence(s_mat, t_mat)
+        return TrialResult(trial_id, base, base, violations=(Violation("generation_retry_cap_exhausted"),))
     result = _evaluate_trial(inputs)
     if not result.passed:
         def still_violating(cand: TrialInputs) -> bool:
@@ -509,22 +504,14 @@ def random_trial(config: SuiteConfig, trial_id: int, kind: str | None = None) ->
 # suites
 
 
-def _find_resolvent_point(rng: random.Random, rel: LinearRelation) -> GaussianRational:
+def _find_resolvent(rng: random.Random, n: int, is_resolvent) -> GaussianRational:
+    """The shuffled palette first, then 6, 7, ..., n + 6: n eigenvalues cannot cover them all."""
     candidates = list(_RESOLVENT_CANDIDATES)
     rng.shuffle(candidates)
-    for mu in candidates:
-        if rel.is_resolvent_point(mu):
+    for mu in candidates + [gr(m) for m in range(6, n + 7)]:
+        if is_resolvent(mu):
             return mu
-    raise AssertionError("no resolvent candidate worked (dimension larger than palette)")
-
-
-def _find_pencil_resolvent(rng: random.Random, p: OperatorPencil) -> GaussianRational:
-    candidates = list(_RESOLVENT_CANDIDATES)
-    rng.shuffle(candidates)
-    for mu in candidates:
-        if p.resolvent_point(mu):
-            return mu
-    raise AssertionError("no resolvent candidate worked (dimension larger than palette)")
+    raise AssertionError("no resolvent point: the pencil or relation is singular")
 
 
 def _random_regular_pencil(rng: random.Random, config: SuiteConfig) -> OperatorPencil:
@@ -551,11 +538,11 @@ def _random_planted_pencil(
     return p, blocks
 
 
-def _suite_resolvent_representation(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_resolvent_representation(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("resolvent_representation", config.seed, trial_id)
     n = rng.randint(1, config.max_dim)
     rel = LinearRelation.from_graph(_random_matrix(rng, n, n, config.entry_bound))
-    mu = _find_resolvent_point(rng, rel)
+    mu = _find_resolvent(rng, n, rel.is_resolvent_point)
     lam = _random_scalar(rng, config.entry_bound)
     via_range, via_kernel = rel.resolvent_representations(mu, lam)
     expected = rel.shift(lam)
@@ -564,13 +551,13 @@ def _suite_resolvent_representation(config: SuiteConfig, trial_id: int) -> Trial
         violations.append(Violation("resolvent_range_form_mismatch", lam))
     if via_kernel != expected:
         violations.append(Violation("resolvent_kernel_form_mismatch", lam))
-    return TrialOutcome(trial_id, tuple(violations))
+    return TrialResult(trial_id, violations=tuple(violations))
 
 
-def _suite_kernel_range_identities(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_kernel_range_identities(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("kernel_range_identities", config.seed, trial_id)
     p = _random_regular_pencil(rng, config)
-    mu = _find_pencil_resolvent(rng, p)
+    mu = _find_resolvent(rng, p.n, p.resolvent_point)
     finite_eigs = [v for v, _ in p.spectrum().finite_eigenvalues]
     lam = rng.choice(finite_eigs) if finite_eigs and rng.random() < 0.5 else _random_scalar(rng, config.entry_bound)
 
@@ -610,10 +597,10 @@ def _suite_kernel_range_identities(config: SuiteConfig, trial_id: int) -> TrialO
         ("fredholm_infinity_codims", (n - rank_e) == (n - kr.domain().dim) == (n - rr.domain().dim))
     )
     violations = tuple(Violation(name, lam) for name, ok in checks if not ok)
-    return TrialOutcome(trial_id, violations)
+    return TrialResult(trial_id, violations=violations)
 
 
-def _suite_spectrum_equality(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_spectrum_equality(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("spectrum_equality", config.seed, trial_id)
     if trial_id % 2 == 0:
         p, _ = _random_planted_pencil(rng, config)
@@ -630,10 +617,10 @@ def _suite_spectrum_equality(config: SuiteConfig, trial_id: int) -> TrialOutcome
             violations.append(Violation(f"point_spectrum_mismatch_{side}"))
         if ps.residual.monic() != expected_residual:
             violations.append(Violation(f"residual_mismatch_{side}"))
-    return TrialOutcome(trial_id, tuple(violations), base=p)
+    return TrialResult(trial_id, p, violations=tuple(violations))
 
 
-def _suite_weyr_equality(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_weyr_equality(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("weyr_equality", config.seed, trial_id)
     p, blocks = _random_planted_pencil(rng, config)
     kr = p.kernel_representation()
@@ -642,22 +629,22 @@ def _suite_weyr_equality(config: SuiteConfig, trial_id: int) -> TrialOutcome:
     points: list[ExtendedScalar] = list(blocks.eigenvalue_points())
     if not any(isinstance(q, Infinity) for q in points):
         points.append(INF)
+    # The planted pencil is regular by construction, so no determinant is needed.
+    zero = Subspace.zero(p.n)
     for at in points:
         expected = blocks.expected_weyr_indices(at)
-        tp = p.weyr_table(at)
-        tk = kr.weyr_table(at)
-        tr = rr.weyr_table(at)
-        if not (tp.indices == tk.indices == tr.indices == expected):
+        pencil_chain, kernel_chain, range_chain = p.root_chain(at), kr.root_chain(at), rr.root_chain(at)
+        indices = {WeyrTable.from_chain(at, c).indices for c in (pencil_chain, kernel_chain, range_chain)}
+        if indices != {expected}:
             violations.append(Violation("weyr_table_mismatch", at))
         feed = p.a_mat if isinstance(at, Infinity) else p.e_mat
         for k in range(1, len(expected) + 2):
-            pencil_space = p.root_subspace(at, k)
-            relation_space = kr.root_subspace(at, k)
-            if pencil_space != relation_space:
+            relation_space = chain_level(kernel_chain, k, zero)
+            if chain_level(pencil_chain, k, zero) != relation_space:
                 violations.append(Violation("chain_vs_power_oracle_mismatch", at, k))
-            if rr.root_subspace(at, k) != map_image(feed, relation_space):
+            if chain_level(range_chain, k, zero) != map_image(feed, relation_space):
                 violations.append(Violation("image_of_root_subspace_mismatch", at, k))
-    return TrialOutcome(trial_id, tuple(violations), base=p)
+    return TrialResult(trial_id, p, violations=tuple(violations))
 
 
 _SINGULAR_SAMPLE_POINTS: tuple[ExtendedScalar, ...] = (gr(0), gr(1), gr(-1), gr(0, 1), INF)
@@ -670,7 +657,7 @@ def _random_relation(rng: random.Random, config: SuiteConfig) -> LinearRelation:
     return LinearRelation(n, n, Subspace.from_spanning(2 * n, [vector(v) for v in vecs]))
 
 
-def _suite_singular_subspace(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_singular_subspace(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("singular_subspace", config.seed, trial_id)
     rel = _random_relation(rng, config)
     rc = rel.singular_chain_space()
@@ -683,10 +670,10 @@ def _suite_singular_subspace(config: SuiteConfig, trial_id: int) -> TrialOutcome
                 violations.append(Violation("singular_subspace_pair_mismatch", pts[a], b))
     if any(rel.is_resolvent_point(pt) for pt in pts) and not rc.is_zero():
         violations.append(Violation("singular_subspace_not_trivial_with_resolvent"))
-    return TrialOutcome(trial_id, tuple(violations))
+    return TrialResult(trial_id, violations=tuple(violations))
 
 
-def _suite_matching_distance(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_matching_distance(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("matching_distance", config.seed, trial_id)
     n = rng.randint(1, config.max_dim)
     if trial_id % 7 == 0:
@@ -701,12 +688,7 @@ def _suite_matching_distance(config: SuiteConfig, trial_id: int) -> TrialOutcome
     pspec = _random_perturbation(rng, n, config.entry_bound, kind)
     distance, ok = matching_representation_distance(p, pspec)
     violations = () if ok else (Violation("matching_distance_bound", None, None, 0, distance),)
-    return TrialOutcome(trial_id, violations, base=p, perturbed=apply_perturbation(p, pspec))
-
-
-def _suite_perturbation_bounds(config: SuiteConfig, trial_id: int) -> TrialOutcome:
-    result = random_trial(config, trial_id)
-    return TrialOutcome(trial_id, result.violations, base=result.base, perturbed=result.perturbed)
+    return TrialResult(trial_id, p, apply_perturbation(p, pspec), violations=violations)
 
 
 def _one_dim_neighbor(rng: random.Random, rel: LinearRelation) -> LinearRelation:
@@ -726,7 +708,7 @@ def _one_dim_neighbor(rng: random.Random, rel: LinearRelation) -> LinearRelation
     return LinearRelation(rel.dim_x, rel.dim_y, Subspace.from_spanning(ambient, [vector(v) for v in vecs]))
 
 
-def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialOutcome:
+def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("relation_weyr_bound", config.seed, trial_id)
     if trial_id % 2 == 0:
         # Pencil route: matching-side representations of a rank-one pair.
@@ -740,7 +722,7 @@ def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialOutco
                 pert = cand
                 break
         if pert is None:
-            return TrialOutcome(trial_id, (Violation("generation_retry_cap_exhausted"),))
+            return TrialResult(trial_id, violations=(Violation("generation_retry_cap_exhausted"),))
         if kind == TYPE_V:
             l, m = base.range_representation(), pert.range_representation()
         else:
@@ -757,7 +739,7 @@ def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialOutco
                 l, m = cand_l, cand_m
                 break
         if l is None:
-            return TrialOutcome(trial_id, (Violation("generation_retry_cap_exhausted"),))
+            return TrialResult(trial_id, violations=(Violation("generation_retry_cap_exhausted"),))
     violations = []
     if relation_distance(l, m) > 1:
         violations.append(Violation("relation_distance_bound", None, None, 0, relation_distance(l, m)))
@@ -767,7 +749,7 @@ def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialOutco
         for k in range(1, max(len(tl.indices), len(tm.indices), 1) + 1):
             if abs(tl.index_at(k) - tm.index_at(k)) > 1:
                 violations.append(Violation("relation_weyr_delta", pt, k, tl.index_at(k), tm.index_at(k)))
-    return TrialOutcome(trial_id, tuple(violations))
+    return TrialResult(trial_id, violations=tuple(violations))
 
 
 _SUITES = {
@@ -777,26 +759,26 @@ _SUITES = {
     "weyr_equality": _suite_weyr_equality,
     "singular_subspace": _suite_singular_subspace,
     "matching_distance": _suite_matching_distance,
-    "perturbation_bounds": _suite_perturbation_bounds,
+    "perturbation_bounds": random_trial,
     "relation_weyr_bound": _suite_relation_weyr_bound,
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _failures_from_outcome(outcome: TrialOutcome) -> list[Failure]:
+def _failures_from_result(result: TrialResult) -> list[Failure]:
     out = []
-    for v in outcome.violations:
+    for v in result.violations:
         out.append(
             Failure(
-                trial_id=outcome.trial_id,
+                trial_id=result.trial_id,
                 name=v.name,
                 point=None if v.point is None else format_extended(v.point),
                 k=v.k,
                 w_base=v.w_base,
                 w_pert=v.w_pert,
-                base=outcome.base,
-                perturbed=outcome.perturbed,
+                base=result.base,
+                perturbed=result.perturbed,
             )
         )
     return out
@@ -817,10 +799,10 @@ def run_suite(suite: str, config: SuiteConfig) -> VerificationReport:
     for name in names:
         fn = _SUITES[name]
         for trial_id in range(config.trials):
-            outcome = fn(config, trial_id)
+            result = fn(config, trial_id)
             trials += 1
-            if outcome.violations:
-                failures.extend(_failures_from_outcome(outcome))
+            if result.violations:
+                failures.extend(_failures_from_result(result))
             else:
                 passed += 1
     elapsed_ms = int((time.perf_counter() - start) * 1000)

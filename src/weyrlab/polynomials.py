@@ -149,12 +149,6 @@ class Polynomial:
             [gr(k) * c for k, c in enumerate(self.coeffs)][1:]
         )
 
-    def shift_up(self, k: int) -> Polynomial:
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Polynomial((_ZERO,) * k + self.coeffs)
-
     def __pow__(self, k: int) -> Polynomial:
         out = Polynomial.one()
         base = self

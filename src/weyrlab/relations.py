@@ -3,8 +3,10 @@
 A relation is stored only through the canonical form of its span, so
 relation equality is value equality and every operation reduces to exact
 subspace computations on block matrices.  Sums and compositions go through
-the fiber-product kernel of a stacked system; root subspaces and the Weyr
-characteristic come from iterated composition of the shifted relation.
+the fiber-product kernel of a stacked system.  Root subspaces come from one
+chain per point: `root_chain` composes the shifted relation until the
+subspaces S_1, S_2, ... stop growing, and `root_subspace`, the stabilized
+root subspace and `weyr_table` are all read from that chain.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .polynomials import Polynomial, minor_gcd_poly
 from .gaussian_roots import gaussian_rational_roots
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr
 
-__all__ = ["LinearRelation", "WeyrTable", "PointSpectrum"]
+__all__ = ["LinearRelation", "WeyrTable", "PointSpectrum", "chain_level"]
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,21 @@ class WeyrTable:
 
     def root_dim_at(self, k: int) -> int:
         """dim S^k, constant beyond stabilization."""
-        if not self.root_dims:
-            return 0
-        return self.root_dims[min(k, len(self.root_dims)) - 1] if k >= 1 else 0
+        return chain_level(self.root_dims, k, 0)
+
+    @staticmethod
+    def from_chain(at: ExtendedScalar, chain: list[Subspace]) -> WeyrTable:
+        """The table of a root chain S_1, S_2, ... as returned by root_chain."""
+        dims = tuple(s.dim for s in chain)
+        indices = tuple(d - p for d, p in zip(dims, (0,) + dims[:-1]))
+        return WeyrTable(at=at, indices=indices, root_dims=dims)
+
+
+def chain_level(chain, k: int, zero):
+    """Level k of a root chain: zero for k <= 0, constant beyond stabilization."""
+    if k <= 0 or not chain:
+        return zero
+    return chain[min(k, len(chain)) - 1]
 
 
 @dataclass(frozen=True)
@@ -215,23 +229,11 @@ class LinearRelation:
 
     # -- spectral structure --------------------------------------------------
 
-    def _chain_base(self, at: ExtendedScalar) -> tuple[LinearRelation, bool]:
+    def root_chain(self, at: ExtendedScalar) -> list[Subspace]:
+        """ker (self - at)^k, mul self^k at infinity, for k = 1.. until stabilization."""
         self._require_square()
-        if isinstance(at, Infinity):
-            return self, True
-        return self.shift(at), False
-
-    def root_subspace(self, at: ExtendedScalar, k: int) -> Subspace:
-        """ker (self - at)^k, with mul self^k at infinity."""
-        base, at_infinity = self._chain_base(at)
-        if k == 0:
-            return Subspace.zero(self.dim_x)
-        pw = base.power(k)
-        return pw.mul_part() if at_infinity else pw.kernel()
-
-    def _root_chain(self, at: ExtendedScalar) -> list[Subspace]:
-        """Root subspaces for k = 1.. until stabilization (<= ambient dim)."""
-        base, at_infinity = self._chain_base(at)
+        at_infinity = isinstance(at, Infinity)
+        base = self if at_infinity else self.shift(at)
         spaces: list[Subspace] = []
         acc = base
         prev = 0
@@ -244,14 +246,17 @@ class LinearRelation:
             acc = base.compose(acc)
         return spaces
 
+    def root_subspace(self, at: ExtendedScalar, k: int) -> Subspace:
+        """S_k of the root chain at the given point; zero for k = 0."""
+        if k < 0:
+            raise ValueError("root_subspace requires a nonnegative k")
+        return chain_level(self.root_chain(at), k, Subspace.zero(self.dim_x))
+
     def stabilized_root_subspace(self, at: ExtendedScalar) -> Subspace:
-        chain = self._root_chain(at)
-        return chain[-1] if chain else Subspace.zero(self.dim_x)
+        return chain_level(self.root_chain(at), self.dim_x, Subspace.zero(self.dim_x))
 
     def weyr_table(self, at: ExtendedScalar) -> WeyrTable:
-        dims = [s.dim for s in self._root_chain(at)]
-        indices = tuple(d - p for d, p in zip(dims, [0] + dims[:-1]))
-        return WeyrTable(at=at, indices=indices, root_dims=tuple(dims))
+        return WeyrTable.from_chain(at, self.root_chain(at))
 
     def singular_chain_space(self) -> Subspace:
         """Intersection of the stabilized root subspaces at 0 and infinity."""

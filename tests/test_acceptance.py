@@ -185,7 +185,7 @@ def test_criterion_9_weyr_monotonicity(bound_trial_results):
         for _, tb, tp in r.tables:
             for t in (tb, tp):
                 assert all(a >= b for a, b in zip(t.indices, t.indices[1:]))
-                tables += 2
+                tables += 1
     assert tables > 0
     # The WeyrTable constructor enforces the same invariant structurally, so
     # every table produced by criteria 1-8 already passed it on creation.

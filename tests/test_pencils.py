@@ -98,6 +98,30 @@ def test_root_subspaces_nilpotent_block():
         assert p.root_subspace(gr(0), k) == rel.root_subspace(gr(0), k)
 
 
+def test_root_chain_dims_nilpotent_block():
+    p = OperatorPencil.from_matrices(Matrix.identity(3), J3)
+    assert [s.dim for s in p.root_chain(gr(0))] == [1, 2, 3]
+    assert p.root_chain(gr(1)) == []
+    assert p.root_subspace(gr(0), 0).is_zero() and p.root_subspace(gr(0), -1).is_zero()
+
+
+def test_root_subspace_matches_kernel_representation_levels():
+    rng = random.Random(43)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        p = random_regular_pencil(rng, n)
+        kr = p.kernel_representation()
+        points = list(p.spectrum().eigenvalue_points()) + [gr(0), gr(1, 1), INF]
+        for at in points:
+            for k in range(0, n + 2):
+                assert p.root_subspace(at, k) == kr.root_subspace(at, k)
+
+
+def test_spectrum_is_cached():
+    p = OperatorPencil.from_matrices(I2, J2)
+    assert p.spectrum() is p.spectrum()
+
+
 def test_root_subspace_chain_at_infinity():
     p = OperatorPencil.from_matrices(J2, I2)
     s1 = p.root_subspace(INF, 1)

@@ -10,9 +10,11 @@ from weyrlab.io_formats import report_to_dict
 from weyrlab.linalg import Matrix, unit_vector, vector
 from weyrlab.pencils import CanonicalSpec, OperatorPencil, jordan_block
 from weyrlab.perturbations import (
+    _RESOLVENT_CANDIDATES,
     PerturbationSpec,
     SuiteConfig,
     TrialInputs,
+    _find_resolvent,
     apply_perturbation,
     greedy_shrink,
     matching_representation_distance,
@@ -207,6 +209,32 @@ def test_random_trial_is_deterministic():
     b = random_trial(cfg, 5)
     assert a.base == b.base and a.perturbed == b.perturbed
     assert a.tables == b.tables and a.distance == b.distance
+
+
+def test_trial_inputs_build_each_pencil_once():
+    blocks = CanonicalSpec(((gr(1), 2),), (1,))
+    inputs = TrialInputs(
+        trial_id=0,
+        blocks=blocks,
+        s_mat=Matrix.identity(3),
+        t_mat=Matrix.identity(3),
+        pspec=PerturbationSpec(kind="type_u", u=vector([1, 0, 0]), v_func=vector([0, 1, 0]), w_func=vector([0, 0, 1])),
+    )
+    assert inputs.base is inputs.base and inputs.perturbed is inputs.perturbed
+    assert inputs.perturbed == apply_perturbation(inputs.base, inputs.pspec)
+
+
+def test_find_resolvent_beyond_palette():
+    # Every palette point is an eigenvalue, so the finder must go past the palette.
+    n = len(_RESOLVENT_CANDIDATES)
+    a_mat = Matrix.from_rows(
+        [[_RESOLVENT_CANDIDATES[i] if i == j else gr(0) for j in range(n)] for i in range(n)]
+    )
+    p = OperatorPencil.from_matrices(Matrix.identity(n), a_mat)
+    rel = LinearRelation.from_graph(a_mat)
+    for is_resolvent in (p.resolvent_point, rel.is_resolvent_point):
+        assert not any(is_resolvent(mu) for mu in _RESOLVENT_CANDIDATES)
+        assert _find_resolvent(random.Random(5), n, is_resolvent) == gr(6)
 
 
 def test_random_trial_retry_cap_reports_without_crashing():

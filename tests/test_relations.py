@@ -6,7 +6,7 @@ import pytest
 
 from weyrlab.errors import DimensionMismatch, NoResolventPointError, NotResolventPointError
 from weyrlab.linalg import Matrix, Subspace, unit_vector, vector
-from weyrlab.relations import LinearRelation, WeyrTable
+from weyrlab.relations import LinearRelation, WeyrTable, chain_level
 from weyrlab.scalars import INF, gr
 
 
@@ -168,6 +168,41 @@ def test_root_subspace_at_infinity_of_graph_is_trivial():
 
 def test_root_subspace_of_full_relation():
     assert LinearRelation.full(2, 2).root_subspace(gr(0), 1).is_full()
+
+
+def test_root_subspace_rejects_negative_k():
+    with pytest.raises(ValueError):
+        graph(J2).root_subspace(gr(0), -1)
+
+
+def test_root_chain_matches_powers_of_shifted_relation():
+    rng = random.Random(41)
+    for trial in range(30):
+        n = rng.randint(1, 4)
+        l = random_graph_relation(rng, n) if trial % 3 == 0 else random_relation(rng, n)
+        for at in (gr(0), gr(1), gr(0, 1), INF):
+            chain = l.root_chain(at)
+            dims = [s.dim for s in chain]
+            assert dims == sorted(set(dims)) and len(chain) <= n
+            base = l if at is INF else l.shift(at)
+            for k in range(1, n + 2):
+                power = base.power(k)
+                expected = power.mul_part() if at is INF else power.kernel()
+                assert l.root_subspace(at, k) == expected
+
+
+def test_chain_level_rule():
+    assert chain_level((1, 3), 0, 0) == 0
+    assert chain_level((1, 3), -2, 0) == 0
+    assert chain_level((), 4, 0) == 0
+    assert chain_level((1, 3), 1, 0) == 1
+    assert chain_level((1, 3), 7, 0) == 3
+
+
+def test_weyr_table_from_chain():
+    chain = graph(J3).root_chain(gr(0))
+    assert WeyrTable.from_chain(gr(0), chain) == graph(J3).weyr_table(gr(0))
+    assert WeyrTable.from_chain(gr(1), []) == WeyrTable(at=gr(1), indices=(), root_dims=())
 
 
 def test_weyr_tables():
