@@ -53,7 +53,7 @@ from .polynomials import (
     squarefree_part,
 )
 from .gaussian_roots import gaussian_rational_roots, gaussian_sqrt
-from .relations import LinearRelation, PointSpectrum, WeyrTable
+from .relations import LinearRelation, WeyrTable
 from .pencils import CanonicalSpec, OperatorPencil, SpectrumReport, jordan_block
 from .perturbations import (
     PerturbationSpec,

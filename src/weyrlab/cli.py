@@ -31,7 +31,6 @@ from .perturbations import (
     PerturbationSpec,
     SuiteConfig,
     apply_perturbation,
-    matching_representation_distance,
     relation_distance,
     run_suite,
     weyr_delta_check,
@@ -142,7 +141,7 @@ def cmd_repr_check(args) -> int:
     return 0 if all_equal else 1
 
 
-def _build_perturbation(args, n: int) -> PerturbationSpec:
+def _build_perturbation(args) -> PerturbationSpec:
     u = parse_vector(args.u)
     v_func = parse_vector(args.vfunc)
     if args.type == "v":
@@ -160,7 +159,7 @@ def _build_perturbation(args, n: int) -> PerturbationSpec:
 
 def cmd_perturb(args) -> int:
     pencil = load_pencil(args.pencil)
-    pspec = _build_perturbation(args, pencil.n)
+    pspec = _build_perturbation(args)
     perturbed = apply_perturbation(pencil, pspec)
     kernel_distance = relation_distance(
         pencil.kernel_representation(), perturbed.kernel_representation()
@@ -168,8 +167,11 @@ def cmd_perturb(args) -> int:
     range_distance = relation_distance(
         pencil.range_representation(), perturbed.range_representation()
     )
-    matching_distance, bound_holds = matching_representation_distance(pencil, pspec)
-    matching_side = "range" if pspec.kind == "type_v" else "kernel"
+    if pspec.kind == "type_v":
+        matching_side, matching_distance = "range", range_distance
+    else:
+        matching_side, matching_distance = "kernel", kernel_distance
+    bound_holds = matching_distance <= 1
     delta = None
     if pencil.is_regular and perturbed.is_regular:
         points = parse_point_list(args.points) if args.points else None
@@ -234,12 +236,13 @@ def cmd_verify(args) -> int:
         print(f"- failed: {report.failed}")
         print(f"- seed: {report.seed}")
         print(f"- elapsed_ms: {report.elapsed_ms}")
-        for f in report.failures:
-            print(
-                f"- FAILURE trial {f.trial_id}: {f.name}"
-                + (f" at {f.point}" if f.point else "")
-                + (f" k={f.k}" if f.k is not None else "")
-            )
+        for result in report.failures:
+            for v in result.violations:
+                print(
+                    f"- FAILURE trial {result.trial_id}: {v.name}"
+                    + ("" if v.point is None else f" at {format_extended(v.point)}")
+                    + (f" k={v.k}" if v.k is not None else "")
+                )
     return 0 if report.failed == 0 else 1
 
 

@@ -17,10 +17,10 @@ from typing import Any
 
 from .errors import ParseError
 from .linalg import Matrix, Vector, vector
-from .pencils import OperatorPencil, SpectrumReport
-from .perturbations import Failure, TrialResult, VerificationReport
+from .pencils import OperatorPencil
+from .perturbations import TrialResult, VerificationReport, Violation
 from .polynomials import Polynomial
-from .relations import LinearRelation, PointSpectrum, WeyrTable
+from .relations import LinearRelation, SpectrumReport, WeyrTable
 from .scalars import (
     ExtendedScalar,
     format_extended,
@@ -42,7 +42,6 @@ __all__ = [
     "polynomial_to_list",
     "spectrum_to_dict",
     "weyr_table_to_dict",
-    "point_spectrum_to_dict",
     "report_to_dict",
     "trial_result_to_dict",
     "dump_json",
@@ -52,6 +51,11 @@ __all__ = [
 def _require(cond: bool, message: str):
     if not cond:
         raise ParseError(message)
+
+
+def _is_int(x: Any) -> bool:
+    """A JSON integer; bool is an int subclass but true/false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -- scalars and vectors -----------------------------------------------------
@@ -93,7 +97,7 @@ def pencil_from_dict(data: Any) -> OperatorPencil:
     for key in ("n", "E", "A"):
         _require(key in data, f"pencil file is missing {key!r}")
     n = data["n"]
-    _require(isinstance(n, int) and n > 0, "n must be a positive integer")
+    _require(_is_int(n) and n > 0, "n must be a positive integer")
     e_mat = _scalar_rows_to_matrix(data["E"], "E")
     a_mat = _scalar_rows_to_matrix(data["A"], "A")
     _require((e_mat.rows, e_mat.cols) == (n, n), "E must be n x n")
@@ -140,8 +144,8 @@ def relation_from_dict(data: Any) -> LinearRelation:
     for key in ("dim_x", "dim_y", "basis"):
         _require(key in data, f"relation file is missing {key!r}")
     dim_x, dim_y = data["dim_x"], data["dim_y"]
-    _require(isinstance(dim_x, int) and dim_x >= 0, "dim_x must be a nonnegative integer")
-    _require(isinstance(dim_y, int) and dim_y >= 0, "dim_y must be a nonnegative integer")
+    _require(_is_int(dim_x) and dim_x >= 0, "dim_x must be a nonnegative integer")
+    _require(_is_int(dim_y) and dim_y >= 0, "dim_y must be a nonnegative integer")
     _require(isinstance(data["basis"], list), "basis must be a list")
     pairs = []
     for rec in data["basis"]:
@@ -183,25 +187,25 @@ def weyr_table_to_dict(table: WeyrTable) -> dict:
     }
 
 
-def point_spectrum_to_dict(ps: PointSpectrum) -> dict:
+def _violation_to_dict(v: Violation) -> dict:
     return {
-        "finite": [format_scalar(v) for v in ps.finite],
-        "has_infinity": ps.has_infinity,
-        "residual_coeffs": polynomial_to_list(ps.residual),
+        "name": v.name,
+        "point": None if v.point is None else format_extended(v.point),
+        "k": v.k,
+        "w_base": v.w_base,
+        "w_pert": v.w_pert,
     }
 
 
-def _failure_to_dict(f: Failure) -> dict:
-    return {
-        "trial_id": f.trial_id,
-        "name": f.name,
-        "point": f.point,
-        "k": f.k,
-        "w_base": f.w_base,
-        "w_pert": f.w_pert,
-        "base": None if f.base is None else pencil_to_dict(f.base),
-        "perturbed": None if f.perturbed is None else pencil_to_dict(f.perturbed),
+def _failure_records(result: TrialResult) -> list[dict]:
+    """One flat record per violation of a failing trial."""
+    pencils = {
+        "base": None if result.base is None else pencil_to_dict(result.base),
+        "perturbed": None if result.perturbed is None else pencil_to_dict(result.perturbed),
     }
+    return [
+        {"trial_id": result.trial_id, **_violation_to_dict(v), **pencils} for v in result.violations
+    ]
 
 
 def report_to_dict(report: VerificationReport, include_elapsed: bool = True) -> dict:
@@ -212,7 +216,7 @@ def report_to_dict(report: VerificationReport, include_elapsed: bool = True) -> 
         "trials": report.trials,
         "passed": report.passed,
         "failed": report.failed,
-        "failures": [_failure_to_dict(f) for f in report.failures],
+        "failures": [rec for r in report.failures for rec in _failure_records(r)],
     }
     if include_elapsed:
         out["elapsed_ms"] = report.elapsed_ms
@@ -233,16 +237,7 @@ def trial_result_to_dict(result: TrialResult) -> dict:
             for pt, tb, tp in result.tables
         ],
         "distance": result.distance,
-        "violations": [
-            {
-                "name": v.name,
-                "point": None if v.point is None else format_extended(v.point),
-                "k": v.k,
-                "w_base": v.w_base,
-                "w_pert": v.w_pert,
-            }
-            for v in result.violations
-        ],
+        "violations": [_violation_to_dict(v) for v in result.violations],
     }
 
 

@@ -28,34 +28,10 @@ from .linalg import (
     rref,
 )
 from .polynomials import Polynomial, pencil_det_poly
-from .relations import LinearRelation, WeyrTable, chain_level
+from .relations import LinearRelation, SpectrumReport, WeyrTable, chain_level
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr, lex_key
 
 __all__ = ["OperatorPencil", "SpectrumReport", "CanonicalSpec", "jordan_block"]
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Exact spectrum of a regular pencil.
-
-    finite_eigenvalues pairs each Q(i) eigenvalue with its algebraic
-    multiplicity; eigenvalues outside Q(i) live in the residual factor of
-    the determinant polynomial and are never approximated.
-    """
-
-    finite_eigenvalues: tuple[tuple[GaussianRational, int], ...]
-    residual: Polynomial
-    has_infinity: bool
-    infinity_multiplicity: int
-
-    def total_finite_multiplicity(self) -> int:
-        return sum(m for _, m in self.finite_eigenvalues)
-
-    def eigenvalue_points(self) -> tuple[ExtendedScalar, ...]:
-        points: list[ExtendedScalar] = [v for v, _ in self.finite_eigenvalues]
-        if self.has_infinity:
-            points.append(INF)
-        return tuple(points)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ Weyr characteristic of a regular pencil moves by at most one per index
 under either; the suites in this module check those facts on seeded
 random draws and shrink any counterexample they find.
 
+A perturbation trial follows one path.  `_draw_planted` draws a planted
+Weierstrass pencil scrambled by a unimodular equivalence, and
+`_draw_regular_perturbation` draws a rank-one perturbation that keeps it
+regular; `weyr_delta_check` compares the Weyr tables of the pair point by
+point, the matching-side representation distance is added to its
+`TrialResult`, and `run_suite` collects the failing `TrialResult`s into a
+`VerificationReport`, which io_formats flattens into one record per
+violation.
+
 All randomness is derived from (suite name, master seed, trial id), so a
 report is reproducible bit for bit.
 """
@@ -37,7 +46,7 @@ from .linalg import (
 from .pencils import CanonicalSpec, OperatorPencil, sorted_points
 from .polynomials import minor_gcd_poly, poly_gcd, squarefree_part
 from .relations import LinearRelation, WeyrTable, chain_level
-from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, format_extended, gr
+from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr
 
 __all__ = [
     "PerturbationSpec",
@@ -111,17 +120,21 @@ def relation_distance(l: LinearRelation, m: LinearRelation) -> int:
     return max(l.span.dim - common.dim, m.span.dim - common.dim)
 
 
+def _matching_relations(
+    base: OperatorPencil, pert: OperatorPencil, kind: str
+) -> tuple[LinearRelation, LinearRelation]:
+    """Range representations for type_v, kernel representations for type_u."""
+    if kind == TYPE_V:
+        return base.range_representation(), pert.range_representation()
+    return base.kernel_representation(), pert.kernel_representation()
+
+
 def matching_representation_distance(p: OperatorPencil, s: PerturbationSpec) -> tuple[int, bool]:
     """Distance between base and perturbed representations on the matching side.
 
-    type_v compares range representations, type_u kernel representations;
-    the bound distance <= 1 holds regardless of regularity.
+    The bound distance <= 1 holds regardless of regularity.
     """
-    pert = apply_perturbation(p, s)
-    if s.kind == TYPE_V:
-        d = relation_distance(p.range_representation(), pert.range_representation())
-    else:
-        d = relation_distance(p.kernel_representation(), pert.kernel_representation())
+    d = relation_distance(*_matching_relations(p, apply_perturbation(p, s), s.kind))
     return d, d <= 1
 
 
@@ -201,29 +214,6 @@ def _residual_multiplicity_violations(
     return []
 
 
-def _delta_tables(
-    base: OperatorPencil, pert: OperatorPencil, points
-) -> tuple[tuple[tuple[ExtendedScalar, WeyrTable, WeyrTable], ...], tuple[Violation, ...]]:
-    if not base.is_regular or not pert.is_regular:
-        raise NotRegularError("Weyr delta bounds assume regular base and perturbed pencils")
-    if points is None:
-        pool = set(base.spectrum().eigenvalue_points()) | set(pert.spectrum().eigenvalue_points())
-        pool.add(INF)
-        points = sorted_points(pool)
-        extra = _residual_multiplicity_violations(pert, base, "perturbed") + _residual_multiplicity_violations(base, pert, "base")
-    else:
-        points = list(points)
-        extra = []
-    tables = []
-    violations: list[Violation] = list(extra)
-    for pt in points:
-        tb = base.weyr_table(pt)
-        tp = pert.weyr_table(pt)
-        tables.append((pt, tb, tp))
-        violations.extend(_index_delta_violations(pt, tb, tp))
-    return tuple(tables), tuple(violations)
-
-
 def weyr_delta_check(
     base: OperatorPencil, pert: OperatorPencil, points=None, trial_id: int = 0
 ) -> TrialResult:
@@ -233,8 +223,23 @@ def weyr_delta_check(
     eigenvalue sets plus infinity, and eigenvalues outside Q(i) are checked
     through the residual polynomials.
     """
-    tables, violations = _delta_tables(base, pert, points)
-    return TrialResult(trial_id, base, pert, tables, violations)
+    if not base.is_regular or not pert.is_regular:
+        raise NotRegularError("Weyr delta bounds assume regular base and perturbed pencils")
+    if points is None:
+        pool = set(base.spectrum().eigenvalue_points()) | set(pert.spectrum().eigenvalue_points())
+        pool.add(INF)
+        points = sorted_points(pool)
+        violations = _residual_multiplicity_violations(pert, base, "perturbed")
+        violations += _residual_multiplicity_violations(base, pert, "base")
+    else:
+        violations = []
+    tables = []
+    for pt in points:
+        tb = base.weyr_table(pt)
+        tp = pert.weyr_table(pt)
+        tables.append((pt, tb, tp))
+        violations.extend(_index_delta_violations(pt, tb, tp))
+    return TrialResult(trial_id, base, pert, tuple(tables), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +256,16 @@ class SuiteConfig:
 
 
 @dataclass(frozen=True)
-class Failure:
-    trial_id: int
-    name: str
-    point: str | None
-    k: int | None
-    w_base: int | None
-    w_pert: int | None
-    base: OperatorPencil | None
-    perturbed: OperatorPencil | None
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """failures holds the failing TrialResults in trial order."""
+
     suite: str
     seed: int
     config: SuiteConfig
     trials: int
     passed: int
     failed: int
-    failures: tuple[Failure, ...]
+    failures: tuple[TrialResult, ...]
     elapsed_ms: int
 
 
@@ -363,13 +358,13 @@ def _random_perturbation(rng: random.Random, n: int, bound: int, kind: str) -> P
 
 @dataclass(frozen=True)
 class TrialInputs:
-    """Everything a perturbation trial is built from; shrinkable."""
+    """Everything a perturbation trial is built from; shrinkable; pspec is None before perturbing."""
 
     trial_id: int
     blocks: CanonicalSpec
     s_mat: Matrix
     t_mat: Matrix
-    pspec: PerturbationSpec
+    pspec: PerturbationSpec | None = None
 
     @cached_property
     def base(self) -> OperatorPencil:
@@ -380,25 +375,41 @@ class TrialInputs:
         return apply_perturbation(self.base, self.pspec)
 
 
+def _draw_planted(rng: random.Random, config: SuiteConfig, trial_id: int = 0) -> TrialInputs:
+    """A planted pencil: n, the blocks, S and T are drawn in this order."""
+    n = rng.randint(min(2, config.max_dim), config.max_dim)
+    blocks = _random_canonical_spec(rng, n)
+    s_mat = random_unimodular_matrix(rng, n, config.entry_bound)
+    t_mat = random_unimodular_matrix(rng, n, config.entry_bound)
+    return TrialInputs(trial_id, blocks, s_mat, t_mat)
+
+
+def _draw_regular_perturbation(
+    rng: random.Random, config: SuiteConfig, planted: TrialInputs, kind: str
+) -> TrialInputs | None:
+    """The planted pencil under the first drawn perturbation that keeps it regular.
+
+    None when all retry_cap draws give singular pencils.
+    """
+    for _ in range(config.retry_cap):
+        pspec = _random_perturbation(rng, planted.blocks.total_size, config.entry_bound, kind)
+        inputs = replace(planted, pspec=pspec)
+        if inputs.perturbed.is_regular:
+            return inputs
+    return None
+
+
 def _evaluate_trial(inputs: TrialInputs) -> TrialResult:
     base, pert = inputs.base, inputs.perturbed
     if not pert.is_regular:
-        return TrialResult(
-            inputs.trial_id,
-            base,
-            pert,
-            violations=(Violation("perturbed_pencil_not_regular"),),
-            spec=inputs.pspec,
-        )
-    tables, violations = _delta_tables(base, pert, None)
-    distance, dist_ok = matching_representation_distance(base, inputs.pspec)
-    if not dist_ok:
-        violations = violations + (
-            Violation("matching_distance_bound", None, None, 0, distance),
-        )
-    return TrialResult(
-        inputs.trial_id, base, pert, tables, violations, spec=inputs.pspec, distance=distance
-    )
+        violations = (Violation("perturbed_pencil_not_regular"),)
+        return TrialResult(inputs.trial_id, base, pert, violations=violations, spec=inputs.pspec)
+    result = weyr_delta_check(base, pert, trial_id=inputs.trial_id)
+    distance = relation_distance(*_matching_relations(base, pert, inputs.pspec.kind))
+    violations = result.violations
+    if distance > 1:
+        violations += (Violation("matching_distance_bound", None, None, 0, distance),)
+    return replace(result, violations=violations, spec=inputs.pspec, distance=distance)
 
 
 def _zero_entry(spec: PerturbationSpec, slot: str, index: int) -> PerturbationSpec:
@@ -473,23 +484,14 @@ def greedy_shrink(inputs: TrialInputs, is_violating) -> TrialInputs:
     return inputs
 
 
-def random_trial(config: SuiteConfig, trial_id: int, kind: str | None = None) -> TrialResult:
+def random_trial(config: SuiteConfig, trial_id: int) -> TrialResult:
     """One seeded perturbation-bound trial; shrinks its counterexample on failure."""
     rng = _rng("perturbation_bounds", config.seed, trial_id)
-    if kind is None:
-        kind = TYPE_V if trial_id % 2 == 0 else TYPE_U
-    n = rng.randint(min(2, config.max_dim), config.max_dim)
-    blocks = _random_canonical_spec(rng, n)
-    s_mat = random_unimodular_matrix(rng, n, config.entry_bound)
-    t_mat = random_unimodular_matrix(rng, n, config.entry_bound)
-    inputs = None
-    for _ in range(config.retry_cap):
-        pspec = _random_perturbation(rng, n, config.entry_bound, kind)
-        inputs = TrialInputs(trial_id, blocks, s_mat, t_mat, pspec)
-        if inputs.perturbed.is_regular:
-            break
-    else:
-        base = inputs.base if inputs else OperatorPencil.from_canonical(blocks).apply_equivalence(s_mat, t_mat)
+    kind = TYPE_V if trial_id % 2 == 0 else TYPE_U
+    planted = _draw_planted(rng, config, trial_id)
+    inputs = _draw_regular_perturbation(rng, config, planted, kind)
+    if inputs is None:
+        base = planted.base
         return TrialResult(trial_id, base, base, violations=(Violation("generation_retry_cap_exhausted"),))
     result = _evaluate_trial(inputs)
     if not result.passed:
@@ -524,18 +526,6 @@ def _random_regular_pencil(rng: random.Random, config: SuiteConfig) -> OperatorP
         if p.is_regular:
             return p
     return OperatorPencil.from_matrices(Matrix.identity(n), _random_matrix(rng, n, n, config.entry_bound))
-
-
-def _random_planted_pencil(
-    rng: random.Random, config: SuiteConfig
-) -> tuple[OperatorPencil, CanonicalSpec]:
-    n = rng.randint(min(2, config.max_dim), config.max_dim)
-    blocks = _random_canonical_spec(rng, n)
-    p = OperatorPencil.from_canonical(blocks).apply_equivalence(
-        random_unimodular_matrix(rng, n, config.entry_bound),
-        random_unimodular_matrix(rng, n, config.entry_bound),
-    )
-    return p, blocks
 
 
 def _suite_resolvent_representation(config: SuiteConfig, trial_id: int) -> TrialResult:
@@ -597,13 +587,13 @@ def _suite_kernel_range_identities(config: SuiteConfig, trial_id: int) -> TrialR
         ("fredholm_infinity_codims", (n - rank_e) == (n - kr.domain().dim) == (n - rr.domain().dim))
     )
     violations = tuple(Violation(name, lam) for name, ok in checks if not ok)
-    return TrialResult(trial_id, violations=violations)
+    return TrialResult(trial_id, p, violations=violations)
 
 
 def _suite_spectrum_equality(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("spectrum_equality", config.seed, trial_id)
     if trial_id % 2 == 0:
-        p, _ = _random_planted_pencil(rng, config)
+        p = _draw_planted(rng, config).base
     else:
         p = _random_regular_pencil(rng, config)
     report = p.spectrum()
@@ -612,8 +602,7 @@ def _suite_spectrum_equality(config: SuiteConfig, trial_id: int) -> TrialResult:
     violations = []
     for side, rel in (("kernel", p.kernel_representation()), ("range", p.range_representation())):
         ps = rel.point_spectrum()
-        points = set(ps.finite) | ({INF} if ps.has_infinity else set())
-        if points != expected_points:
+        if set(ps.eigenvalue_points()) != expected_points:
             violations.append(Violation(f"point_spectrum_mismatch_{side}"))
         if ps.residual.monic() != expected_residual:
             violations.append(Violation(f"residual_mismatch_{side}"))
@@ -622,7 +611,8 @@ def _suite_spectrum_equality(config: SuiteConfig, trial_id: int) -> TrialResult:
 
 def _suite_weyr_equality(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("weyr_equality", config.seed, trial_id)
-    p, blocks = _random_planted_pencil(rng, config)
+    planted = _draw_planted(rng, config)
+    p, blocks = planted.base, planted.blocks
     kr = p.kernel_representation()
     rr = p.range_representation()
     violations = []
@@ -685,10 +675,10 @@ def _suite_matching_distance(config: SuiteConfig, trial_id: int) -> TrialResult:
         a_mat = _random_matrix(rng, n, n, config.entry_bound)
     p = OperatorPencil.from_matrices(e_mat, a_mat)
     kind = TYPE_V if trial_id % 2 == 0 else TYPE_U
-    pspec = _random_perturbation(rng, n, config.entry_bound, kind)
-    distance, ok = matching_representation_distance(p, pspec)
-    violations = () if ok else (Violation("matching_distance_bound", None, None, 0, distance),)
-    return TrialResult(trial_id, p, apply_perturbation(p, pspec), violations=violations)
+    pert = apply_perturbation(p, _random_perturbation(rng, n, config.entry_bound, kind))
+    distance = relation_distance(*_matching_relations(p, pert, kind))
+    violations = () if distance <= 1 else (Violation("matching_distance_bound", None, None, 0, distance),)
+    return TrialResult(trial_id, p, pert, violations=violations)
 
 
 def _one_dim_neighbor(rng: random.Random, rel: LinearRelation) -> LinearRelation:
@@ -710,26 +700,19 @@ def _one_dim_neighbor(rng: random.Random, rel: LinearRelation) -> LinearRelation
 
 def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialResult:
     rng = _rng("relation_weyr_bound", config.seed, trial_id)
+    base = pert = l = m = None
     if trial_id % 2 == 0:
         # Pencil route: matching-side representations of a rank-one pair.
-        base, _ = _random_planted_pencil(rng, config)
+        planted = _draw_planted(rng, config, trial_id)
         kind = TYPE_V if trial_id % 4 == 0 else TYPE_U
-        pert = None
-        for _ in range(config.retry_cap):
-            pspec = _random_perturbation(rng, base.n, config.entry_bound, kind)
-            cand = apply_perturbation(base, pspec)
-            if cand.is_regular:
-                pert = cand
-                break
-        if pert is None:
-            return TrialResult(trial_id, violations=(Violation("generation_retry_cap_exhausted"),))
-        if kind == TYPE_V:
-            l, m = base.range_representation(), pert.range_representation()
+        inputs = _draw_regular_perturbation(rng, config, planted, kind)
+        if inputs is None:
+            base = planted.base
         else:
-            l, m = base.kernel_representation(), pert.kernel_representation()
+            base, pert = inputs.base, inputs.perturbed
+            l, m = _matching_relations(base, pert, kind)
     else:
         # Span-surgery route on relations with trivial singular chain space.
-        l = m = None
         for _ in range(config.retry_cap):
             cand_l = _random_relation(rng, config)
             if not cand_l.singular_chain_space().is_zero():
@@ -738,18 +721,19 @@ def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialResul
             if cand_m.singular_chain_space().is_zero():
                 l, m = cand_l, cand_m
                 break
-        if l is None:
-            return TrialResult(trial_id, violations=(Violation("generation_retry_cap_exhausted"),))
+    if l is None:
+        return TrialResult(trial_id, base, violations=(Violation("generation_retry_cap_exhausted"),))
     violations = []
-    if relation_distance(l, m) > 1:
-        violations.append(Violation("relation_distance_bound", None, None, 0, relation_distance(l, m)))
+    distance = relation_distance(l, m)
+    if distance > 1:
+        violations.append(Violation("relation_distance_bound", None, None, 0, distance))
     for pt in _SINGULAR_SAMPLE_POINTS:
         tl = l.weyr_table(pt)
         tm = m.weyr_table(pt)
         for k in range(1, max(len(tl.indices), len(tm.indices), 1) + 1):
             if abs(tl.index_at(k) - tm.index_at(k)) > 1:
                 violations.append(Violation("relation_weyr_delta", pt, k, tl.index_at(k), tm.index_at(k)))
-    return TrialResult(trial_id, violations=tuple(violations))
+    return TrialResult(trial_id, base, pert, violations=tuple(violations))
 
 
 _SUITES = {
@@ -766,24 +750,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _failures_from_result(result: TrialResult) -> list[Failure]:
-    out = []
-    for v in result.violations:
-        out.append(
-            Failure(
-                trial_id=result.trial_id,
-                name=v.name,
-                point=None if v.point is None else format_extended(v.point),
-                k=v.k,
-                w_base=v.w_base,
-                w_pert=v.w_pert,
-                base=result.base,
-                perturbed=result.perturbed,
-            )
-        )
-    return out
-
-
 def run_suite(suite: str, config: SuiteConfig) -> VerificationReport:
     """Run one named suite (or "all"); deterministic given (suite, seed, config)."""
     start = time.perf_counter()
@@ -793,26 +759,21 @@ def run_suite(suite: str, config: SuiteConfig) -> VerificationReport:
         names = [suite]
     else:
         raise ParseError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
-    failures: list[Failure] = []
-    trials = 0
-    passed = 0
+    failures = []
     for name in names:
-        fn = _SUITES[name]
         for trial_id in range(config.trials):
-            result = fn(config, trial_id)
-            trials += 1
-            if result.violations:
-                failures.extend(_failures_from_result(result))
-            else:
-                passed += 1
+            result = _SUITES[name](config, trial_id)
+            if not result.passed:
+                failures.append(result)
+    trials = len(names) * config.trials
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         suite=suite,
         seed=config.seed,
         config=config,
         trials=trials,
-        passed=passed,
-        failed=trials - passed,
+        passed=trials - len(failures),
+        failed=len(failures),
         failures=tuple(failures),
         elapsed_ms=elapsed_ms,
     )

@@ -29,11 +29,11 @@ from .linalg import (
     subspace_intersect,
     vector,
 )
-from .polynomials import Polynomial, minor_gcd_poly
+from .polynomials import Polynomial, pencil_det_poly
 from .gaussian_roots import gaussian_rational_roots
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr
 
-__all__ = ["LinearRelation", "WeyrTable", "PointSpectrum", "chain_level"]
+__all__ = ["LinearRelation", "WeyrTable", "SpectrumReport", "chain_level"]
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ class WeyrTable:
             prev_idx = w
             prev_dim = d
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.indices
-
     def index_at(self, k: int) -> int:
         """w_k, zero beyond stabilization."""
         return self.indices[k - 1] if 1 <= k <= len(self.indices) else 0
@@ -92,12 +88,27 @@ def chain_level(chain, k: int, zero):
 
 
 @dataclass(frozen=True)
-class PointSpectrum:
-    """Point spectrum of a relation: exact Q(i) part, infinity flag, residual."""
+class SpectrumReport:
+    """Exact spectrum of a regular pencil or of a relation with a resolvent point.
 
-    finite: tuple[GaussianRational, ...]
-    has_infinity: bool
+    finite_eigenvalues pairs each Q(i) eigenvalue with its algebraic
+    multiplicity; eigenvalues outside Q(i) live in the residual factor of
+    the determinant polynomial and are never approximated.
+    """
+
+    finite_eigenvalues: tuple[tuple[GaussianRational, int], ...]
     residual: Polynomial
+    has_infinity: bool
+    infinity_multiplicity: int
+
+    def total_finite_multiplicity(self) -> int:
+        return sum(m for _, m in self.finite_eigenvalues)
+
+    def eigenvalue_points(self) -> tuple[ExtendedScalar, ...]:
+        points: list[ExtendedScalar] = [v for v, _ in self.finite_eigenvalues]
+        if self.has_infinity:
+            points.append(INF)
+        return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -273,12 +284,13 @@ class LinearRelation:
         shifted = self.shift(at)
         return shifted.kernel().is_zero() and shifted.range_of().is_full()
 
-    def point_spectrum(self) -> PointSpectrum:
-        """Eigenvalues in Q(i), an infinity flag, and the non-Q(i) residual.
+    def point_spectrum(self) -> SpectrumReport:
+        """Eigenvalues in Q(i), infinity, and the non-Q(i) residual.
 
-        Requires a relation with at least one resolvent point: the span must
-        have dimension equal to the ambient dimension and the determinant of
-        its spanning pencil must not vanish identically.
+        The span [P; Q] is read as the pencil x P - Q.  Requires a relation
+        with at least one resolvent point: the span must have dimension
+        equal to the ambient dimension and det(x P - Q) must not vanish
+        identically.
         """
         self._require_square()
         n = self.dim_x
@@ -287,18 +299,17 @@ class LinearRelation:
             raise NoResolventPointError(
                 f"span dimension {d} != ambient dimension {n}: no resolvent point exists"
             )
-        p, q = self.x_block(), self.y_block()
-        g = minor_gcd_poly(p, q, d)
-        if g.is_zero:
+        det = pencil_det_poly(self.x_block(), self.y_block())
+        if det.is_zero:
             raise NoResolventPointError(
-                "spanning pencil has identically vanishing minor gcd (singular chains present)"
+                "spanning pencil has identically vanishing determinant (singular chains present)"
             )
-        roots, residual = gaussian_rational_roots(g)
-        finite = tuple(r for r, _ in roots)
-        return PointSpectrum(
-            finite=finite,
-            has_infinity=not self.mul_part().is_zero(),
+        roots, residual = gaussian_rational_roots(det)
+        return SpectrumReport(
+            finite_eigenvalues=roots,
             residual=residual,
+            has_infinity=not self.mul_part().is_zero(),
+            infinity_multiplicity=n - det.degree,
         )
 
     # -- resolvent-based representations -------------------------------------

@@ -151,9 +151,7 @@ def gr(re=0, im=0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 @dataclass(frozen=True)
@@ -180,13 +178,14 @@ _SCALAR_RE = _re.compile(
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        d = int(den)
-        if d == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError as exc:  # only the interpreter's digit limit fails on matched digits
+        raise ParseError(f"scalar part too long ({len(text)} characters): {exc}") from exc
+    if d == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(n, d)
 
 
 def parse_scalar(text: str) -> GaussianRational:

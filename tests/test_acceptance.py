@@ -75,7 +75,7 @@ def test_criterion_2_resolvent_representation_suite():
     start = time.perf_counter()
     report = run_suite("resolvent_representation", SuiteConfig(trials=200, seed=42, max_dim=5))
     elapsed = time.perf_counter() - start
-    assert report.failed == 0, [f.name for f in report.failures]
+    assert report.failed == 0, [v.name for r in report.failures for v in r.violations]
     assert report.trials == 200
     assert elapsed < 30.0
     announce("criterion 2", "200 resolvent-representation identities, subspace-exact, 0 failures", elapsed)
@@ -85,7 +85,7 @@ def test_criterion_3_kernel_range_identity_suite():
     start = time.perf_counter()
     report = run_suite("kernel_range_identities", SuiteConfig(trials=300, seed=42, max_dim=6))
     elapsed = time.perf_counter() - start
-    assert report.failed == 0, [f.name for f in report.failures]
+    assert report.failed == 0, [v.name for r in report.failures for v in r.violations]
     assert report.trials == 300
     assert elapsed < 120.0
     announce(
@@ -99,7 +99,7 @@ def test_criterion_4_spectrum_equality_suite():
     start = time.perf_counter()
     report = run_suite("spectrum_equality", SuiteConfig(trials=200, seed=42, max_dim=6))
     elapsed = time.perf_counter() - start
-    assert report.failed == 0, [f.name for f in report.failures]
+    assert report.failed == 0, [v.name for r in report.failures for v in r.violations]
     assert report.trials == 200
     announce(
         "criterion 4",
@@ -112,7 +112,7 @@ def test_criterion_5_weyr_equality_suite():
     start = time.perf_counter()
     report = run_suite("weyr_equality", SuiteConfig(trials=300, seed=42, max_dim=6))
     elapsed = time.perf_counter() - start
-    assert report.failed == 0, [f.name for f in report.failures]
+    assert report.failed == 0, [v.name for r in report.failures for v in r.violations]
     assert report.trials == 300
     announce(
         "criterion 5",
@@ -125,7 +125,7 @@ def test_criterion_6_singular_subspace_suite():
     start = time.perf_counter()
     report = run_suite("singular_subspace", SuiteConfig(trials=200, seed=42, max_dim=6))
     elapsed = time.perf_counter() - start
-    assert report.failed == 0, [f.name for f in report.failures]
+    assert report.failed == 0, [v.name for r in report.failures for v in r.violations]
     assert report.trials == 200
     announce(
         "criterion 6",

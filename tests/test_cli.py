@@ -199,12 +199,14 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 def test_verify_exit_code_one_on_violation(capsys, monkeypatch):
     import weyrlab.cli as cli_mod
-    from weyrlab.perturbations import Failure, VerificationReport
+    from weyrlab.perturbations import TrialResult, VerificationReport, Violation
+    from weyrlab.scalars import gr
 
     def fake_run(suite, config):
+        violations = (Violation("weyr_index_delta", gr(0), 1, 0, 2), Violation("perturbed_pencil_not_regular"))
         return VerificationReport(
             suite=suite, seed=config.seed, config=config, trials=1, passed=0, failed=1,
-            failures=(Failure(0, "weyr_index_delta", "0", 1, 0, 2, None, None),),
+            failures=(TrialResult(0, violations=violations),),
             elapsed_ms=1,
         )
 
@@ -212,7 +214,8 @@ def test_verify_exit_code_one_on_violation(capsys, monkeypatch):
     code, text, _ = run_cli(capsys, "verify", "--suite", "perturbation_bounds",
                             "--trials", "1", "--seed", "1", "--format", "md")
     assert code == 1
-    assert "FAILURE trial 0" in text
+    assert "- FAILURE trial 0: weyr_index_delta at 0 k=1\n" in text
+    assert "- FAILURE trial 0: perturbed_pencil_not_regular\n" in text
 
 
 def test_gen_rejects_malformed_blocks(tmp_path, capsys):
@@ -246,3 +249,51 @@ def test_markdown_verify_output(capsys):
     assert code == 0
     assert "# Verification suite: singular_subspace" in text
     assert "- failed: 0" in text
+
+
+def test_overlong_scalar_is_an_input_error_without_traceback(tmp_path):
+    # 5000 digits exceed the interpreter's integer conversion limit.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "E": [["1" * 5000]], "A": [["0"]]}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "weyrlab.cli", "analyze", "--pencil", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_boolean_dimension_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"n": True, "E": [["1"]], "A": [["0"]]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze", "--pencil", str(path))
+    assert code == 2
+    assert "n must be a positive integer" in err
+
+
+def test_seed_7_reports_are_byte_identical(tmp_path, capsys):
+    # sha256 of the stdout of three reports on one scrambled planted pencil;
+    # a refactor that changes any byte of them changes a hash.
+    import hashlib
+
+    pencil = str(tmp_path / "p.json")
+    assert main(["gen", "--blocks", "2@1/1,3@0/1,2@inf", "--seed", "7", "--out", pencil]) == 0
+    capsys.readouterr()
+    runs = {
+        "200f808edb9e9407afb76ab970b5646998d2cc76d3d9aa30468e45c122d5ff9a": [
+            "analyze", "--pencil", pencil, "--format", "json",
+        ],
+        "3050f8f8eab0fa45ad7a5b4192e0688b2efc7c11f0f5f8ef3976e1585f5e7aff": [
+            "perturb", "--pencil", pencil, "--type", "v", "--u", "1,0,0,0,0,0,1",
+            "--w", "0,1,0,0,0,0,0", "--vfunc", "1,1,0,0,0,0,0", "--format", "json",
+        ],
+        "a66c2b0c228453c86405dc20a2433efd9a7f9af559f7607a4de4e49270f071f0": [
+            "perturb", "--pencil", pencil, "--type", "u", "--u", "0,0,1,0,0,1,0",
+            "--vfunc", "1,0,0,0,1,0,0", "--wfunc", "0,0,0,1,0,0,1", "--format", "json",
+        ],
+    }
+    for digest, argv in runs.items():
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0, argv[0]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv[:4]

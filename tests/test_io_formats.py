@@ -15,11 +15,14 @@ from weyrlab.io_formats import (
     pencil_to_dict,
     relation_from_dict,
     relation_to_dict,
+    report_to_dict,
+    trial_result_to_dict,
     weyr_table_to_dict,
 )
 from weyrlab.linalg import Matrix
 from weyrlab.pencils import OperatorPencil, jordan_block
-from weyrlab.relations import LinearRelation
+from weyrlab.perturbations import SuiteConfig, TrialResult, VerificationReport, Violation
+from weyrlab.relations import LinearRelation, WeyrTable
 from weyrlab.scalars import INF, gr
 
 
@@ -100,3 +103,108 @@ def test_weyr_table_serialization():
 def test_dump_json_is_stable():
     blob = dump_json({"b": 1, "a": [2, 3]})
     assert blob == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}'
+
+
+def test_dimensions_reject_booleans():
+    with pytest.raises(ParseError):
+        pencil_from_dict({"n": True, "E": [["1"]], "A": [["0"]]})
+    with pytest.raises(ParseError):
+        relation_from_dict({"dim_x": True, "dim_y": 1, "basis": [{"x": ["1"], "y": ["0"]}]})
+    with pytest.raises(ParseError):
+        relation_from_dict({"dim_x": 1, "dim_y": False, "basis": []})
+
+
+def test_overlong_scalars_are_parse_errors():
+    # 5000 digits exceed the interpreter's integer conversion limit.
+    digits = "7" * 5000
+    with pytest.raises(ParseError):
+        pencil_from_dict({"n": 1, "E": [[digits]], "A": [["0"]]})
+    with pytest.raises(ParseError):
+        pencil_from_dict({"n": 1, "E": [["1"]], "A": [["1/" + digits]]})
+    with pytest.raises(ParseError):
+        relation_from_dict({"dim_x": 1, "dim_y": 1, "basis": [{"x": ["1"], "y": ["1+" + digits + "*i"]}]})
+
+
+def _failing_trial() -> TrialResult:
+    from fractions import Fraction
+
+    base = OperatorPencil.from_matrices(Matrix.from_rows([[1]]), Matrix.from_rows([[0]]))
+    pert = OperatorPencil.from_matrices(Matrix.from_rows([[1]]), Matrix.from_rows([[gr(Fraction(1, 2), 1)]]))
+    return TrialResult(
+        trial_id=3,
+        base=base,
+        perturbed=pert,
+        tables=((gr(0), WeyrTable(gr(0), (1,), (1,)), WeyrTable(gr(0), (), ())),),
+        violations=(
+            Violation("weyr_index_delta", INF, 2, 1, 3),
+            Violation("irrational_eigenvalue_multiplicity_base"),
+        ),
+        distance=1,
+    )
+
+
+BASE_1X1 = {"n": 1, "E": [["1"]], "A": [["0"]]}
+PERT_1X1 = {"n": 1, "E": [["1"]], "A": [["1/2+1*i"]]}
+
+
+def test_report_flattens_each_violation_of_a_failing_trial():
+    report = VerificationReport(
+        "perturbation_bounds", 5, SuiteConfig(trials=4, seed=5), 4, 3, 1, (_failing_trial(),), 17
+    )
+    assert report_to_dict(report) == {
+        "suite": "perturbation_bounds",
+        "seed": 5,
+        "config": {"trials": 4, "seed": 5, "max_dim": 6, "entry_bound": 3, "retry_cap": 40},
+        "trials": 4,
+        "passed": 3,
+        "failed": 1,
+        "failures": [
+            {
+                "trial_id": 3,
+                "name": "weyr_index_delta",
+                "point": "inf",
+                "k": 2,
+                "w_base": 1,
+                "w_pert": 3,
+                "base": BASE_1X1,
+                "perturbed": PERT_1X1,
+            },
+            {
+                "trial_id": 3,
+                "name": "irrational_eigenvalue_multiplicity_base",
+                "point": None,
+                "k": None,
+                "w_base": None,
+                "w_pert": None,
+                "base": BASE_1X1,
+                "perturbed": PERT_1X1,
+            },
+        ],
+        "elapsed_ms": 17,
+    }
+
+
+def test_trial_result_serialization():
+    assert trial_result_to_dict(_failing_trial()) == {
+        "trial_id": 3,
+        "base": BASE_1X1,
+        "perturbed": PERT_1X1,
+        "tables": [
+            {
+                "at": "0",
+                "base": {"at": "0", "indices": [1], "root_dims": [1]},
+                "perturbed": {"at": "0", "indices": [], "root_dims": []},
+            }
+        ],
+        "distance": 1,
+        "violations": [
+            {"name": "weyr_index_delta", "point": "inf", "k": 2, "w_base": 1, "w_pert": 3},
+            {
+                "name": "irrational_eigenvalue_multiplicity_base",
+                "point": None,
+                "k": None,
+                "w_base": None,
+                "w_pert": None,
+            },
+        ],
+    }

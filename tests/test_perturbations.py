@@ -7,7 +7,7 @@ import pytest
 
 from weyrlab.errors import DimensionMismatch, NotRegularError
 from weyrlab.io_formats import report_to_dict
-from weyrlab.linalg import Matrix, unit_vector, vector
+from weyrlab.linalg import Matrix, rref, unit_vector, vector
 from weyrlab.pencils import CanonicalSpec, OperatorPencil, jordan_block
 from weyrlab.perturbations import (
     _RESOLVENT_CANDIDATES,
@@ -15,6 +15,8 @@ from weyrlab.perturbations import (
     SuiteConfig,
     TrialInputs,
     _find_resolvent,
+    _suite_kernel_range_identities,
+    _suite_relation_weyr_bound,
     apply_perturbation,
     greedy_shrink,
     matching_representation_distance,
@@ -243,6 +245,43 @@ def test_random_trial_retry_cap_reports_without_crashing():
     assert [v.name for v in res.violations] == ["generation_retry_cap_exhausted"]
 
 
+def test_relation_bound_pencil_route_records_its_pair():
+    cfg = SuiteConfig(trials=1, seed=3, max_dim=4)
+    for trial_id in (0, 2):  # even trials take the pencil route
+        res = _suite_relation_weyr_bound(cfg, trial_id)
+        assert res.passed
+        assert res.base.is_regular and res.perturbed.is_regular
+        assert rref(res.perturbed.e_mat - res.base.e_mat)[2] <= 1
+        assert rref(res.perturbed.a_mat - res.base.a_mat)[2] <= 1
+    surgery = _suite_relation_weyr_bound(cfg, 1)
+    assert surgery.base is None and surgery.perturbed is None
+    exhausted = _suite_relation_weyr_bound(SuiteConfig(trials=1, seed=3, max_dim=4, retry_cap=0), 0)
+    assert [v.name for v in exhausted.violations] == ["generation_retry_cap_exhausted"]
+    assert exhausted.base is not None
+
+
+def test_kernel_range_identities_records_its_pencil():
+    res = _suite_kernel_range_identities(SuiteConfig(trials=1, seed=3, max_dim=4), 0)
+    assert res.passed and res.base.is_regular and res.perturbed is None
+
+
+def test_random_trial_builds_its_perturbed_pencil_once(monkeypatch):
+    import weyrlab.perturbations as perturbations
+
+    calls = []
+    real = perturbations.apply_perturbation
+
+    def counting(p, s):
+        calls.append(s)
+        return real(p, s)
+
+    monkeypatch.setattr(perturbations, "apply_perturbation", counting)
+    for trial_id in (0, 1):  # one type_v and one type_u trial, each regular at the first draw
+        calls.clear()
+        res = random_trial(SuiteConfig(trials=1, seed=1, max_dim=4), trial_id)
+        assert res.passed and calls == [res.spec]
+
+
 def test_run_suite_empty():
     rep = run_suite("perturbation_bounds", SuiteConfig(trials=0, seed=42))
     assert rep.trials == 0 and rep.failed == 0 and rep.failures == ()
@@ -287,4 +326,4 @@ def test_run_all_covers_every_suite():
 )
 def test_each_suite_smoke(suite):
     rep = run_suite(suite, SuiteConfig(trials=4, seed=2024, max_dim=4))
-    assert rep.failed == 0, [f.name for f in rep.failures]
+    assert rep.failed == 0, [v.name for r in rep.failures for v in r.violations]

@@ -276,20 +276,20 @@ def test_resolvent_point_examples():
 
 def test_point_spectrum_of_diagonal_graph():
     ps = graph([[1, 0], [0, 2]]).point_spectrum()
-    assert ps.finite == (gr(1), gr(2))
-    assert not ps.has_infinity
+    assert ps.finite_eigenvalues == ((gr(1), 1), (gr(2), 1))
+    assert not ps.has_infinity and ps.infinity_multiplicity == 0
     assert ps.residual.is_constant
 
 
 def test_point_spectrum_of_pure_mul():
     ps = LinearRelation.from_pairs(1, 1, [((0,), (1,))]).point_spectrum()
-    assert ps.finite == ()
-    assert ps.has_infinity
+    assert ps.finite_eigenvalues == ()
+    assert ps.has_infinity and ps.infinity_multiplicity == 1
 
 
 def test_point_spectrum_of_rotation_has_imaginary_pair():
     ps = graph([[0, -1], [1, 0]]).point_spectrum()
-    assert set(ps.finite) == {gr(0, 1), gr(0, -1)}
+    assert set(ps.eigenvalue_points()) == {gr(0, 1), gr(0, -1)}
     assert not ps.has_infinity
 
 
@@ -310,11 +310,11 @@ def test_resolvent_consistency_excludes_spectrum():
     for _ in range(25):
         l = random_graph_relation(rng, rng.randint(1, 4))
         ps = l.point_spectrum()
-        for lam in ps.finite:
+        for lam in ps.eigenvalue_points():
             assert not l.is_resolvent_point(lam)
         for mu in (gr(9), gr(10, 1)):
             if l.is_resolvent_point(mu):
-                assert mu not in ps.finite
+                assert mu not in ps.eigenvalue_points()
 
 
 # -- resolvent representations --------------------------------------------------------
