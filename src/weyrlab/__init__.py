@@ -52,7 +52,7 @@ from .polynomials import (
     squarefree_decomposition,
     squarefree_part,
 )
-from .gaussian_roots import gaussian_rational_roots, gaussian_sqrt
+from .gaussian_roots import gaussian_rational_roots
 from .relations import LinearRelation, WeyrTable
 from .pencils import CanonicalSpec, OperatorPencil, SpectrumReport, jordan_block
 from .perturbations import (

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, repr-check, perturb, verify, gen.  Exit codes follow
 the contract 0 = all checks pass, 1 = a mathematical property was violated,
-2 = input or usage error.  All output is deterministic for fixed inputs and
+2 = input or usage error, 3 = internal error (a crash, never read as a
+violation).  All output is deterministic for fixed inputs and
 seeds; JSON is the machine contract, markdown the human one.
 """
 
@@ -343,6 +344,9 @@ def main(argv=None) -> int:
     except WeyrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not exit 1, which means a violation
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

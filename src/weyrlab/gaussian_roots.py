@@ -1,20 +1,33 @@
 """Exact enumeration of the Q(i) roots of a polynomial.
 
-The search is the rational-root argument lifted to the Gaussian integers:
-after clearing denominators, any root a/b in lowest terms has a dividing
-the trailing coefficient and b dividing the leading one in Z[i].  Divisors
-come from the Gaussian prime factorization, which in turn rests on ordinary
-integer factorization (deterministic Miller-Rabin plus Brent's rho) and
-sum-of-two-squares splitting of primes congruent to 1 mod 4.
+One search serves every degree.  After clearing denominators, a square-free
+factor f has Gaussian-integer coefficients f_j with leading coefficient c,
+and for every root r in Q(i) the product z = c*r is a Gaussian integer
+with |z| <= B = |c| + max |f_j| (Cauchy's bound).  The search reads z off
+its residues modulo a power of a rational prime p = 3 (mod 4) (Loos,
+"Computing rational zeros of integral polynomials by p-adic expansion",
+SIAM J. Comput. 12, 1983):
 
-Roots that are not in Q(i) are never approximated; they stay inside the
+- such a p stays prime in Z[i], so Z[i]/(p) is the field with p^2
+  elements, and the roots of f mod p are found by trying all p^2 residues;
+- p is skipped when it divides c, or when a root mod p is also a root of
+  f' mod p.  Only the finitely many primes dividing c or the discriminant
+  can fail, so the primes 3, 7, 11, 19, ... in turn soon give a usable one;
+- each simple root mod p has exactly one Newton lift modulo p, p^2, p^4,
+  ..., and once the modulus m exceeds 2B the symmetric residues of c*r
+  mod m are the real and imaginary parts of z.
+
+A root mod p need not be the residue of a root in Q(i): the lift of a root
+of an irreducible factor of higher degree gives some z as well.  So each
+candidate z/c is verified by exact evaluation, and only exact zeros are
+returned.  Roots outside Q(i) are never approximated; they stay inside the
 returned residual polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections.abc import Iterator
 
 from .errors import ZeroPolynomialError
 from .polynomials import Polynomial, squarefree_decomposition
@@ -25,331 +38,67 @@ __all__ = ["gaussian_rational_roots"]
 GInt = tuple[int, int]  # a + b*i with integer a, b
 
 
-# ---------------------------------------------------------------------------
-# ordinary integer factorization
-
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-# Deterministic witness set for n < 3.3 * 10^24.
-_MR_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+def _mul(a: GInt, b: GInt, m: int) -> GInt:
+    return ((a[0] * b[0] - a[1] * b[1]) % m, (a[0] * b[1] + a[1] * b[0]) % m)
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (deterministic parameter sweep)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"factorization failed for {n}")
-
-
-def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1."""
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian integer arithmetic
-
-def _gi_mul(a: GInt, b: GInt) -> GInt:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_norm(a: GInt) -> int:
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _gi_divmod(a: GInt, b: GInt) -> tuple[GInt, GInt]:
-    """Euclidean division with rounded quotient; norm of remainder < norm(b)."""
-    nb = _gi_norm(b)
-    conj = (b[0], -b[1])
-    num = _gi_mul(a, conj)
-    q = (_round_div(num[0], nb), _round_div(num[1], nb))
-    r = (a[0] - (q[0] * b[0] - q[1] * b[1]), a[1] - (q[0] * b[1] + q[1] * b[0]))
-    return q, r
-
-
-def _round_div(a: int, b: int) -> int:
-    # Round to nearest integer, ties toward +inf; b > 0.
-    return (2 * a + b) // (2 * b)
-
-
-def _gi_gcd(a: GInt, b: GInt) -> GInt:
-    while b != (0, 0):
-        a, b = b, _gi_divmod(a, b)[1]
-    return a
-
-
-def _gi_divides(d: GInt, z: GInt) -> bool:
-    return _gi_divmod(z, d)[1] == (0, 0)
-
-
-def _gi_canonical(z: GInt) -> GInt:
-    """Unique associate in the half-open first quadrant (re > 0, im >= 0)."""
-    a, b = z
-    if a == 0 and b == 0:
-        return z
-    for _ in range(4):
-        if a > 0 and b >= 0:
-            return (a, b)
-        a, b = -b, a
-    raise AssertionError("unreachable")
-
-
-def _split_prime(p: int) -> GInt:
-    """A Gaussian prime above p for p = 2 or p % 4 == 1."""
-    if p == 2:
-        return (1, 1)
-    # Find x with x^2 = -1 (mod p) from a quadratic non-residue.
-    e = (p - 1) // 2
-    a = 2
-    while pow(a, e, p) != p - 1:
-        a += 1
-    x = pow(a, (p - 1) // 4, p)
-    return _gi_canonical(_gi_gcd((p, 0), (x, 1)))
-
-
-def _gaussian_prime_factors(z: GInt) -> list[tuple[GInt, int]]:
-    """Gaussian prime factorization of a nonzero z, primes in canonical form."""
-    out: list[tuple[GInt, int]] = []
-    for p in sorted(_factorint(_gi_norm(z))):
-        if p == 2 or p % 4 == 1:
-            candidates = [_split_prime(p)]
-            if p != 2:
-                pi = candidates[0]
-                candidates.append(_gi_canonical((pi[0], -pi[1])))
-        else:
-            candidates = [(p, 0)]
-        for pi in candidates:
-            e = 0
-            while _gi_divides(pi, z):
-                z = _gi_divmod(z, pi)[0]
-                e += 1
-            if e:
-                out.append((pi, e))
-    return out
-
-
-def _gi_divisors(z: GInt) -> list[GInt]:
-    """All divisors of nonzero z up to unit multiples, deterministic order."""
-    divisors = [(1, 0)]
-    for prime, exp in _gaussian_prime_factors(z):
-        power = (1, 0)
-        powers = []
-        for _ in range(exp):
-            power = _gi_mul(power, prime)
-            powers.append(power)
-        divisors = [d for d in divisors] + [
-            _gi_canonical(_gi_mul(d, pw)) for d in divisors for pw in powers
-        ]
-    uniq = sorted(set(divisors), key=lambda d: (_gi_norm(d), d[0], d[1]))
-    return uniq
-
-
-_UNITS: list[GInt] = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-
-
-# ---------------------------------------------------------------------------
-# root search
-
-def _primitive_gaussian_integer_coeffs(p: Polynomial) -> list[GInt]:
-    """Scale p so its coefficients lie in Z[i] with trivial common divisor."""
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * (c.re_den // math.gcd(denom, c.re_den))
-        denom = denom * (c.im_den // math.gcd(denom, c.im_den))
-    coeffs = [
-        (c.re_num * (denom // c.re_den), c.im_num * (denom // c.im_den))
-        for c in p.coeffs
-    ]
-    content = (0, 0)
-    for c in coeffs:
-        content = _gi_gcd(content, c)
-    if content not in ((0, 0), (1, 0)):
-        coeffs = [_gi_divmod(c, content)[0] for c in coeffs]
-    return coeffs
-
-
-def _gi_poly_eval(coeffs: list[GInt], z: GInt) -> GInt:
+def _eval(coeffs: list[GInt], z: GInt, m: int) -> GInt:
+    """Horner evaluation modulo m; coefficients lowest degree first."""
     acc = (0, 0)
     for c in reversed(coeffs):
-        acc = _gi_mul(acc, z)
-        acc = (acc[0] + c[0], acc[1] + c[1])
+        re, im = _mul(acc, z, m)
+        acc = ((re + c[0]) % m, (im + c[1]) % m)
     return acc
 
 
-def _gi_to_gr(z: GInt) -> GaussianRational:
-    return gr(z[0], z[1])
+def _inert_primes() -> Iterator[int]:
+    """The rational primes p = 3 (mod 4) in increasing order."""
+    p = 3
+    while True:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 4
 
 
-def _fraction_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
+def _simple_roots_mod_p(coeffs: list[GInt], deriv: list[GInt]) -> tuple[int, list[GInt]]:
+    """The first usable inert prime p and all roots of coeffs mod p, each simple."""
+    lead = coeffs[-1]
+    for p in _inert_primes():
+        if lead[0] % p == 0 and lead[1] % p == 0:
+            continue
+        roots = [(a, b) for a in range(p) for b in range(p) if _eval(coeffs, (a, b), p) == (0, 0)]
+        if all(_eval(deriv, r, p) != (0, 0) for r in roots):
+            return p, roots
 
 
-def gaussian_sqrt(z: GaussianRational) -> GaussianRational | None:
-    """An exact square root of z in Q(i), or None when none exists."""
-    if z.is_zero:
-        return gr(0)
-    s = _fraction_sqrt(z.norm())
-    if s is None:
-        return None
-    x = _fraction_sqrt((z.re + s) / 2)
-    if x is None:
-        return None
-    if x:
-        return GaussianRational(x, z.im / (2 * x))
-    y = _fraction_sqrt((s - z.re) / 2)
-    if y is None:
-        return None
-    return GaussianRational(0, y)
-
-
-def _quadratic_roots(f: Polynomial) -> list[GaussianRational]:
-    """Exact Q(i) roots of a quadratic; in Q(i) either both roots or none lie there."""
-    c0, c1, c2 = f.coeffs
-    disc = c1 * c1 - gr(4) * c2 * c0
-    s = gaussian_sqrt(disc)
-    if s is None:
-        return []
-    half = gr(1) / (gr(2) * c2)
-    roots = [(-c1 + s) * half]
-    if s:
-        roots.append((-c1 - s) * half)
-    return roots
-
-
-# Cheap candidates tried before the full divisor search; most determinant
-# polynomials arising from generated pencils deflate completely here.
-_GRID: list[GaussianRational] = [
-    gr(a, b)
-    for a in (0, 1, -1, 2, -2, 3, -3)
-    for b in (0, 1, -1, 2, -2)
-] + [
-    gr(Fraction(1, 2)),
-    gr(Fraction(-1, 2)),
-    gr(Fraction(3, 2)),
-    gr(Fraction(-3, 2)),
-    gr(0, Fraction(1, 2)),
-    gr(0, Fraction(-1, 2)),
-    gr(Fraction(1, 2), Fraction(1, 2)),
-    gr(Fraction(-1, 2), Fraction(1, 2)),
-    gr(Fraction(1, 2), Fraction(-1, 2)),
-    gr(Fraction(-1, 2), Fraction(-1, 2)),
-    gr(Fraction(1, 3)),
-    gr(Fraction(-1, 3)),
-]
+def _lift(coeffs: list[GInt], deriv: list[GInt], r: GInt, p: int, bound: int) -> tuple[GInt, int]:
+    """Newton-lift a simple root r mod p to a root mod m > 2 * bound; returns (root, m)."""
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        a, b = _eval(deriv, r, m)
+        n_inv = pow(a * a + b * b, -1, m)  # 1/(a + bi) = (a - bi)/(a^2 + b^2)
+        step = _mul(_eval(coeffs, r, m), (a * n_inv, -b * n_inv), m)
+        r = ((r[0] - step[0]) % m, (r[1] - step[1]) % m)
+    return r, m
 
 
 def _roots_of_squarefree(f: Polynomial) -> list[GaussianRational]:
-    """All Q(i) roots of a square-free nonconstant f with f(0) != 0."""
-    roots: list[GaussianRational] = []
-    if f.degree > 2:
-        for cand in _GRID:
-            if f.degree <= 2:
-                break
-            if f.evaluate(cand).is_zero:
-                roots.append(cand)
-                f = f.exact_div(Polynomial.linear_root(cand))
-    if f.degree == 1:
-        return roots + [-(f.coeffs[0] / f.coeffs[1])]
-    if f.degree == 2:
-        return roots + _quadratic_roots(f)
-    coeffs = _primitive_gaussian_integer_coeffs(f)
-    trailing, leading = coeffs[0], coeffs[-1]
-    at_one = _gi_poly_eval(coeffs, (1, 0))
-    at_minus_one = _gi_poly_eval(coeffs, (-1, 0))
-    n_one = _gi_norm(at_one)
-    n_minus_one = _gi_norm(at_minus_one)
-    denominators = _gi_divisors(leading)
-    numerators = _gi_divisors(trailing)
-    seen: set[tuple[Fraction, Fraction]] = set()
-    for b in denominators:
-        for a0 in numerators:
-            if _gi_gcd(a0, b) not in _UNITS:
-                continue
-            for unit in _UNITS:
-                a = _gi_mul(a0, unit)
-                # (b*x - a) divides f, so (b - a) | f(1) and (b + a) | f(-1).
-                d1 = (b[0] - a[0], b[1] - a[1])
-                if n_one and (d1 == (0, 0) or n_one % _gi_norm(d1) or not _gi_divides(d1, at_one)):
-                    continue
-                d2 = (b[0] + a[0], b[1] + a[1])
-                if n_minus_one and (d2 == (0, 0) or n_minus_one % _gi_norm(d2) or not _gi_divides(d2, at_minus_one)):
-                    continue
-                cand = _gi_to_gr(a) / _gi_to_gr(b)
-                key = (cand.re, cand.im)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if f.evaluate(cand).is_zero:
-                    roots.append(cand)
+    """All Q(i) roots of a square-free nonconstant f."""
+    denom = math.lcm(*(d for c in f.coeffs for d in (c.re_den, c.im_den)))
+    coeffs = [(c.re_num * (denom // c.re_den), c.im_num * (denom // c.im_den)) for c in f.coeffs]
+    deriv = [(k * a, k * b) for k, (a, b) in enumerate(coeffs)][1:]
+    lead = coeffs[-1]
+    # |a| + |b| >= |a + bi|, so this integer is at least B.
+    bound = abs(lead[0]) + abs(lead[1]) + max(abs(a) + abs(b) for a, b in coeffs)
+    p, residues = _simple_roots_mod_p(coeffs, deriv)
+    roots = []
+    for r in residues:
+        r, m = _lift(coeffs, deriv, r, p, bound)
+        re, im = (v - m if 2 * v > m else v for v in _mul(lead, r, m))
+        cand = gr(re, im) / gr(*lead)
+        if f.evaluate(cand).is_zero:
+            roots.append(cand)
     return roots
 
 

@@ -495,8 +495,12 @@ def random_trial(config: SuiteConfig, trial_id: int) -> TrialResult:
         return TrialResult(trial_id, base, base, violations=(Violation("generation_retry_cap_exhausted"),))
     result = _evaluate_trial(inputs)
     if not result.passed:
+        # A candidate must keep a violation that was found, not just fail:
+        # one whose perturbed pencil is singular fails for another reason.
+        found = {v.name for v in result.violations}
+
         def still_violating(cand: TrialInputs) -> bool:
-            return not _evaluate_trial(cand).passed
+            return any(v.name in found for v in _evaluate_trial(cand).violations)
 
         result = _evaluate_trial(greedy_shrink(inputs, still_violating))
     return result

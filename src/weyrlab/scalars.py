@@ -201,10 +201,30 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
+# Products of accepted inputs can exceed the interpreter's limit on
+# int-to-str digits (4300 by default), so long integers are printed in
+# chunks of fewer digits; no interpreter-wide setting is changed.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _format_int(n: int) -> str:
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _format_int(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _format_fraction(f: Fraction) -> str:
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _format_int(f.numerator)
+    return f"{_format_int(f.numerator)}/{_format_int(f.denominator)}"
 
 
 def format_scalar(z: GaussianRational) -> str:

@@ -297,3 +297,52 @@ def test_seed_7_reports_are_byte_identical(tmp_path, capsys):
         code, text, _ = run_cli(capsys, *argv)
         assert code == 0, argv[0]
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv[:4]
+
+
+def test_overlong_output_prints_without_traceback(tmp_path):
+    # Each input entry is under the parse limit, but the residual's constant
+    # 1 - b*c has 5999 digits, past the interpreter's int-to-str limit.
+    b = "1" + "0" * 2998 + "1"  # 10^2999 + 1
+    c = "2" + "0" * 2998 + "2"  # 2 b, so b*c = 2 b^2 is no square
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 2, "E": [["1", "0"], ["0", "1"]], "A": [["1", b], [c, "1"]]}),
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "weyrlab.cli", "analyze", "--pencil", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    residual = json.loads(proc.stdout)["spectrum"]["residual_coeffs"]
+    # 1 - 2 (10^2999 + 1)^2 = -(2 * 10^5998 + 4 * 10^2999 + 1)
+    assert residual == ["-2" + "0" * 2998 + "4" + "0" * 2998 + "1", "-2", "1"]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    import weyrlab.cli as cli_mod
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_verify", crash)
+    code, text, err = run_cli(capsys, "verify", "--suite", "perturbation_bounds",
+                              "--trials", "1", "--seed", "1")
+    assert code == 3
+    assert text == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_analyze_semiprime_leading_coefficient(tmp_path):
+    # det = N x^3 - 2 with N a 37-digit product of two primes; a root search
+    # that factors N does not finish in time.
+    n = "3000000000000000046000000000000000111"
+    path = write_pencil(tmp_path, "semiprime.json", [[int(n), 0, 0], [0, 1, 0], [0, 0, 1]],
+                        [[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "weyrlab.cli", "analyze", "--pencil", path],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    spectrum = json.loads(proc.stdout)["spectrum"]
+    assert spectrum["finite"] == []
+    assert spectrum["residual_coeffs"] == ["-2", "0", "0", n]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weyrlab.errors import ZeroPolynomialError
-from weyrlab.gaussian_roots import gaussian_rational_roots, gaussian_sqrt
+from weyrlab.gaussian_roots import gaussian_rational_roots
 from weyrlab.polynomials import Polynomial
 from weyrlab.scalars import gr
 
@@ -60,7 +60,7 @@ def test_multiplicities_and_zero_root():
 
 
 def test_gaussian_integer_roots_beyond_candidate_grid():
-    # roots 97 and 5+7i force the divisor search
+    # roots 97 and 5+7i need lifting past the first residue modulus
     p = Polynomial.linear_root(gr(97)) * Polynomial.linear_root(gr(5, 7)) * Polynomial.from_coeffs([-2, 0, 1])
     roots, residual = gaussian_rational_roots(p)
     assert {str(r) for r, _ in roots} == {"97", "5+7*i"}
@@ -99,17 +99,70 @@ def test_residual_keeps_leading_scale():
     assert residual == Polynomial.constant(gr(5))
 
 
-def test_gaussian_sqrt():
-    assert gaussian_sqrt(gr(0)) == gr(0)
-    assert gaussian_sqrt(gr(Fraction(9, 4))) == gr(Fraction(3, 2))
-    assert gaussian_sqrt(gr(-4)) == gr(0, 2)
-    assert gaussian_sqrt(gr(0, 2)) == gr(1, 1)
-    assert gaussian_sqrt(gr(2)) is None
-    assert gaussian_sqrt(gr(0, 1)) is None  # sqrt(i) is not in Q(i)
-    rng = random.Random(37)
-    for _ in range(60):
-        z = gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-               Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        sq = z * z
-        w = gaussian_sqrt(sq)
-        assert w is not None and w * w == sq
+
+def _lin(re, im=0):
+    return Polynomial.linear_root(gr(re, im))
+
+
+# Each case reaches one branch of the inert-prime search; the value is the
+# set of primes p = 3 (mod 4) its square-free factors are lifted from.
+CROSS_CHECK_CASES = {
+    # denominators 21 and 441: 3 and 7 divide the leading coefficient
+    "lead_divisible_by_3_and_7": (
+        _lin(Fraction(1, 21)) * _lin(Fraction(2, 21), Fraction(1, 21)) ** 2 * Polynomial.from_coeffs([-2, 0, 1]),
+        {11},
+    ),
+    # 1 = 4 (mod 3) and 1 = 8 (mod 7): a root mod p is not simple there
+    "roots_congruent_mod_3_and_7": (
+        (_lin(1) * _lin(4) * _lin(8)) ** 2 * Polynomial.from_coeffs([1, 0, 1]),
+        {3, 11},
+    ),
+    # (2+i)(2x - 1 - i)((1+i)x^3 - 2): with denominators cleared, its square-free
+    # part is 2x^4 - (1+i)x^3 - (2-2i)x + 2, whose content is 1+i
+    "gaussian_content": (
+        Polynomial.from_coeffs([gr(-1, -1), gr(2)]).scale(gr(2, 1))
+        * Polynomial.from_coeffs([gr(-2), gr(0), gr(0), gr(1, 1)]),
+        {7},
+    ),
+    # |c * r| is about 10^30, so the root is lifted modulo 3^(2^7)
+    "several_lifting_steps": (
+        _lin(Fraction(10**30, 3 * 10**20 + 1), Fraction(7, 3 * 10**20 + 1)) * _lin(-5, 2),
+        {3},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CASES))
+def test_roots_match_sympy_gaussian_factorization(name, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    import weyrlab.gaussian_roots as gaussian_roots
+
+    p, expected_primes = CROSS_CHECK_CASES[name]
+    primes = []
+    real_lift = gaussian_roots._lift
+
+    def recording_lift(coeffs, deriv, r, p_, bound):
+        primes.append(p_)
+        return real_lift(coeffs, deriv, r, p_, bound)
+
+    monkeypatch.setattr(gaussian_roots, "_lift", recording_lift)
+    roots, residual = gaussian_rational_roots(p)
+    assert set(primes) == expected_primes
+    assert reconstruct(roots, residual) == p
+
+    x = sympy.Symbol("x")
+
+    def to_sympy(c):
+        return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+            c.im.numerator, c.im.denominator
+        )
+
+    expr = sum(to_sympy(c) * x**k for k, c in enumerate(p.coeffs))
+    expected = set()
+    for factor, mult in sympy.factor_list(expr, x, gaussian=True)[1]:
+        coeffs = sympy.Poly(factor, x).all_coeffs()
+        if len(coeffs) == 2:
+            r = -coeffs[1] / coeffs[0]
+            re, im = sympy.re(r), sympy.im(r)
+            expected.add((gr(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))), mult))
+    assert set(roots) == expected

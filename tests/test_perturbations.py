@@ -282,6 +282,29 @@ def test_random_trial_builds_its_perturbed_pencil_once(monkeypatch):
         assert res.passed and calls == [res.spec]
 
 
+def test_shrinking_keeps_the_violation_it_found(monkeypatch):
+    # With the bound tightened to |delta w_k| <= 0, trial 98 at seed 42 fails;
+    # some shrink candidates of it have a singular perturbed pencil, and the
+    # shrunk counterexample must still show the violation that was found.
+    import weyrlab.perturbations as perturbations
+
+    real = perturbations._index_delta_violations
+
+    def tightened(point, tb, tp):
+        out = real(point, tb, tp)
+        for k in range(1, max(len(tb.indices), len(tp.indices), 1) + 1):
+            wb, wp = tb.index_at(k), tp.index_at(k)
+            if abs(wb - wp) == 1:
+                out.append(perturbations.Violation("weyr_index_delta", point, k, wb, wp))
+        return out
+
+    monkeypatch.setattr(perturbations, "_index_delta_violations", tightened)
+    res = random_trial(SuiteConfig(trials=99, seed=42, max_dim=6), 98)
+    names = {v.name for v in res.violations}
+    assert "weyr_index_delta" in names
+    assert "perturbed_pencil_not_regular" not in names
+
+
 def test_run_suite_empty():
     rep = run_suite("perturbation_bounds", SuiteConfig(trials=0, seed=42))
     assert rep.trials == 0 and rep.failed == 0 and rep.failures == ()
