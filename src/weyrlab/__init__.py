@@ -32,6 +32,7 @@ from .linalg import (
     Subspace,
     column_space,
     contains,
+    determinant,
     map_image,
     map_preimage,
     matrix_inverse,
@@ -46,7 +47,6 @@ from .linalg import (
 )
 from .polynomials import (
     Polynomial,
-    minor_gcd_poly,
     pencil_det_poly,
     poly_gcd,
     squarefree_decomposition,

@@ -13,7 +13,7 @@ import argparse
 import random
 import sys
 
-from .errors import WeyrlabError
+from .errors import ParseError, WeyrlabError
 from .io_formats import (
     dump_json,
     load_pencil,
@@ -220,6 +220,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0 or args.max_dim < 1 or args.entry_bound < 0:
+        raise ParseError("verify needs --trials >= 0, --max-dim >= 1 and --entry-bound >= 0")
     config = SuiteConfig(
         trials=args.trials,
         seed=args.seed,

@@ -24,6 +24,7 @@ __all__ = [
     "null_space",
     "column_space",
     "matrix_inverse",
+    "determinant",
     "outer_product",
     "subspace_sum",
     "subspace_intersect",
@@ -340,6 +341,31 @@ def matrix_inverse(m: Matrix) -> Matrix:
     if list(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return Matrix.from_rows([rows[i][n:] for i in range(n)])
+
+
+def determinant(m: Matrix) -> GaussianRational:
+    """Determinant by Gaussian elimination, one sign change per row swap."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices have a determinant")
+    rows = m.row_list()
+    det = _ONE
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(c, m.rows) if rows[i][c]), None)
+        if pivot_row is None:
+            return _ZERO
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        src = rows[c]
+        det = det * src[c]
+        inv = _ONE / src[c]
+        for dst in rows[c + 1 :]:
+            if dst[c]:
+                f = dst[c] * inv
+                for j in range(c + 1, m.cols):
+                    if src[j]:
+                        dst[j] = dst[j] - f * src[j]
+    return det
 
 
 def _check_same_ambient(u: Subspace, v: Subspace):

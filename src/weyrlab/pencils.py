@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch, NotRegularError, NotResolventPointError, SingularMatrixError
-from .gaussian_roots import gaussian_rational_roots
 from .linalg import (
     Matrix,
     Subspace,
@@ -206,13 +205,7 @@ class OperatorPencil:
     @cached_property
     def _spectrum(self) -> SpectrumReport:
         self._require_regular()
-        roots, residual = gaussian_rational_roots(self.det_poly)
-        return SpectrumReport(
-            finite_eigenvalues=roots,
-            residual=residual,
-            has_infinity=self.det_poly.degree < self.n,
-            infinity_multiplicity=self.n - self.det_poly.degree,
-        )
+        return SpectrumReport.from_det(self.det_poly, self.n)
 
     def fredholm_data(self, at: ExtendedScalar) -> tuple[int, int]:
         """(dim ker, codim ran) of lam E - A, of E itself at infinity."""

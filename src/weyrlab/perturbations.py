@@ -37,6 +37,7 @@ from .linalg import (
     column_space,
     map_image,
     map_preimage,
+    matrix_inverse,
     null_space,
     outer_product,
     rref,
@@ -44,7 +45,7 @@ from .linalg import (
     vector,
 )
 from .pencils import CanonicalSpec, OperatorPencil, sorted_points
-from .polynomials import minor_gcd_poly, poly_gcd, squarefree_part
+from .polynomials import Polynomial, poly_gcd, squarefree_part
 from .relations import LinearRelation, WeyrTable, chain_level
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr
 
@@ -194,10 +195,13 @@ def _residual_multiplicity_violations(
     """Bound check at eigenvalues outside Q(i).
 
     At a root of `own`'s residual that `other` does not share, the other
-    Weyr table is empty, so the bound forces dim ker <= 1 there; that holds
-    exactly when the stripped square-free residual is coprime to the
-    (n-1)-order minor gcd.  Roots shared by both residuals cannot be
-    compared without a field extension and are skipped.
+    Weyr table is empty, so the bound forces dim ker(lam E - A) <= 1 there.
+    With g the stripped square-free residual, mu the first of 0..n with
+    det(mu E - A) != 0, M = (A - mu E)^-1 E and h(v) = v^deg g * g(mu + 1/v),
+    ker h(M) is the direct sum of the ker(lam E - A) over the roots lam of
+    g, so the bound fails exactly when rank h(M) < n - deg g.  Roots shared
+    by both residuals cannot be compared without a field extension and are
+    skipped.
     """
     residual = own.spectrum().residual
     if residual.degree <= 0:
@@ -208,8 +212,17 @@ def _residual_multiplicity_violations(
         g = g.exact_div(shared)
     if g.degree <= 0:
         return []
-    minor_gcd = minor_gcd_poly(own.e_mat, own.a_mat, own.n - 1)
-    if poly_gcd(g, minor_gcd).degree > 0:
+    n = own.n
+    mu = next(gr(k) for k in range(n + 1) if own.det_poly.evaluate(gr(k)))
+    m = matrix_inverse(own.a_mat - own.e_mat.scale(mu)) * own.e_mat
+    # g(x + mu) by Horner; its coefficients, lowest first, are h's highest first.
+    shifted = Polynomial.zero()
+    for c in reversed(g.coeffs):
+        shifted = shifted * Polynomial.from_coeffs([mu, 1]) + Polynomial.constant(c)
+    h_of_m = Matrix.zeros(n, n)
+    for c in shifted.coeffs:
+        h_of_m = h_of_m * m + Matrix.identity(n).scale(c)
+    if rref(h_of_m)[2] < n - g.degree:
         return [Violation(f"irrational_eigenvalue_multiplicity_{side}")]
     return []
 

@@ -1,23 +1,23 @@
 """Polynomials over Q(i) and determinant polynomials of matrix pencils.
 
-The determinant of x*P - Q is computed by fraction-free (Bareiss)
-elimination over the polynomial ring, so no rational-function arithmetic
-is ever needed and every division performed is exact.
+The determinant of x*P - Q has degree at most n, so it is fixed by its
+values at the n + 1 integer points x = 0..n.  Each value is one scalar
+determinant over Q(i); Newton's divided differences interpolate them and
+the Newton form is expanded to coefficients.  Every step is exact, so no
+polynomial matrix is ever eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroPolynomialError
-from .linalg import Matrix
+from .linalg import Matrix, determinant
 from .scalars import GaussianRational, gr
 
 __all__ = [
     "Polynomial",
     "pencil_det_poly",
-    "minor_gcd_poly",
     "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
@@ -221,61 +221,18 @@ def squarefree_decomposition(p: Polynomial) -> tuple[GaussianRational, list[tupl
     return lead, out
 
 
-def _poly_det_bareiss(m: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return Polynomial.one()
-    m = [row[:] for row in m]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
-            if swap is None:
-                return Polynomial.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Polynomial.zero()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det.scale(gr(sign)) if sign < 0 else det
-
-
-def _pencil_entry(p_mat: Matrix, q_mat: Matrix, i: int, j: int) -> Polynomial:
-    return Polynomial.from_coeffs([-q_mat.at(i, j), p_mat.at(i, j)])
-
-
 def pencil_det_poly(p_mat: Matrix, q_mat: Matrix) -> Polynomial:
     """det(x * p_mat - q_mat) as an exact polynomial."""
     if p_mat.rows != p_mat.cols or (p_mat.rows, p_mat.cols) != (q_mat.rows, q_mat.cols):
         raise DimensionMismatch("determinant pencil needs equal square matrices")
     n = p_mat.rows
-    entries = [[_pencil_entry(p_mat, q_mat, i, j) for j in range(n)] for i in range(n)]
-    return _poly_det_bareiss(entries)
-
-
-def minor_gcd_poly(p_mat: Matrix, q_mat: Matrix, order: int) -> Polynomial:
-    """Monic gcd of all order x order minors of x * p_mat - q_mat.
-
-    Returns the zero polynomial when every minor vanishes identically.
-    """
-    if (p_mat.rows, p_mat.cols) != (q_mat.rows, q_mat.cols):
-        raise DimensionMismatch("pencil matrices must have equal shape")
-    if order < 0 or order > min(p_mat.rows, p_mat.cols):
-        raise DimensionMismatch(f"minor order {order} out of range")
-    if order == 0:
-        return Polynomial.one()
-    g = Polynomial.zero()
-    for rows in combinations(range(p_mat.rows), order):
-        for cols in combinations(range(p_mat.cols), order):
-            sub = [[_pencil_entry(p_mat, q_mat, i, j) for j in cols] for i in rows]
-            g = poly_gcd(g, _poly_det_bareiss(sub))
-            if not g.is_zero and g.is_constant:
-                return Polynomial.one()
-    return g
+    # Divided differences on the nodes 0..n: afterwards c[k] = f[0, ..., k].
+    c = [determinant(p_mat.scale(k) - q_mat) for k in range(n + 1)]
+    for j in range(1, n + 1):
+        for k in range(n, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / j
+    # Newton form c[0] + x (c[1] + (x - 1) (c[2] + ...)), expanded from inside.
+    det = Polynomial.constant(c[n])
+    for k in range(n - 1, -1, -1):
+        det = det * Polynomial.from_coeffs([-k, 1]) + Polynomial.constant(c[k])
+    return det

@@ -98,8 +98,17 @@ class SpectrumReport:
 
     finite_eigenvalues: tuple[tuple[GaussianRational, int], ...]
     residual: Polynomial
-    has_infinity: bool
     infinity_multiplicity: int
+
+    @staticmethod
+    def from_det(det: Polynomial, n: int) -> SpectrumReport:
+        """Read the spectrum off a nonzero det(x P - Q) of an n x n pencil."""
+        roots, residual = gaussian_rational_roots(det)
+        return SpectrumReport(roots, residual, n - det.degree)
+
+    @property
+    def has_infinity(self) -> bool:
+        return self.infinity_multiplicity > 0
 
     def total_finite_multiplicity(self) -> int:
         return sum(m for _, m in self.finite_eigenvalues)
@@ -290,7 +299,9 @@ class LinearRelation:
         The span [P; Q] is read as the pencil x P - Q.  Requires a relation
         with at least one resolvent point: the span must have dimension
         equal to the ambient dimension and det(x P - Q) must not vanish
-        identically.
+        identically.  The multivalued part is nonzero exactly when P is
+        singular, that is when deg det < n, so infinity is read off the
+        degree.
         """
         self._require_square()
         n = self.dim_x
@@ -304,13 +315,7 @@ class LinearRelation:
             raise NoResolventPointError(
                 "spanning pencil has identically vanishing determinant (singular chains present)"
             )
-        roots, residual = gaussian_rational_roots(det)
-        return SpectrumReport(
-            finite_eigenvalues=roots,
-            residual=residual,
-            has_infinity=not self.mul_part().is_zero(),
-            infinity_multiplicity=n - det.degree,
-        )
+        return SpectrumReport.from_det(det, n)
 
     # -- resolvent-based representations -------------------------------------
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from weyrlab.cli import main
 from weyrlab.io_formats import dump_json, load_pencil, pencil_to_dict
 from weyrlab.linalg import Matrix
@@ -297,6 +299,48 @@ def test_seed_7_reports_are_byte_identical(tmp_path, capsys):
         code, text, _ = run_cli(capsys, *argv)
         assert code == 0, argv[0]
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv[:4]
+
+
+def test_seed_42_suite_reports_are_byte_identical(capsys):
+    # sha256 of each 10-trial suite report with elapsed_ms dropped, re-dumped
+    # with sorted keys; a refactor that changes any byte of them changes a hash.
+    import hashlib
+
+    digests = {
+        "resolvent_representation": "89c16a955224c952db50f3e8647d07b29fbc26fa5f635e07a599013e032d4dc3",
+        "kernel_range_identities": "6fe86ee9b530673b8979a9a57a14ed06f47455a25b653df978ecb274cf6f6636",
+        "spectrum_equality": "b1a3a0e4a53a18d219fdf5025fd1843d34d922f815d301ebb0666036d39946e2",
+        "weyr_equality": "feea0f30bbd66d1b9439449735673ac20cacb6a4510fd35d621c1e5c90497cb1",
+        "singular_subspace": "549e0baf6a9638151172bf24c7d51e72864702431b27fd8205681ce4c55db8c0",
+        "matching_distance": "6ce0e6c15c04fe949a3d05891b5240e89ff123a16e575696e7385d81df6c19f3",
+        "perturbation_bounds": "704fc147987eb51a20f3cd31306c00440ac96316b5fe1f7826ded7f92f317f1c",
+        "relation_weyr_bound": "8a0ef6c70210a963d7e8d56d496e32f13942ce0bd45703f1a4c0579cbf1643ed",
+    }
+    for suite, digest in digests.items():
+        code, text, _ = run_cli(
+            capsys, "verify", "--suite", suite, "--trials", "10", "--seed", "42", "--format", "json"
+        )
+        assert code == 0, suite
+        data = json.loads(text)
+        data.pop("elapsed_ms")
+        canonical = json.dumps(data, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(canonical).hexdigest() == digest, suite
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--max-dim", "0"], "--max-dim"),
+        (["--entry-bound", "-1"], "--entry-bound"),
+        (["--trials", "-5", "--format", "md"], "--trials"),
+    ],
+)
+def test_verify_rejects_out_of_range_arguments(capsys, extra, message):
+    argv = ["verify", "--suite", "all", "--trials", "2", "--seed", "1"] + extra
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_overlong_output_prints_without_traceback(tmp_path):

@@ -11,6 +11,7 @@ from weyrlab.linalg import (
     Subspace,
     column_space,
     contains,
+    determinant,
     map_image,
     map_preimage,
     matrix_inverse,
@@ -161,6 +162,22 @@ def test_matrix_inverse():
         matrix_inverse(Matrix.from_rows([[1, 2], [2, 4]]))
     with pytest.raises(DimensionMismatch):
         matrix_inverse(Matrix.zeros(2, 3))
+
+
+def test_determinant():
+    # a zero leading entry forces one row swap, which flips the sign
+    assert determinant(Matrix.from_rows([[0, 1], [1, 0]])) == gr(-1)
+    assert determinant(Matrix.from_rows([[0, 2, 1], [3, 1, 0], [1, 0, 0]])) == gr(-1)
+    assert determinant(Matrix.from_rows([[1, 2], [2, 4]])) == gr(0)
+    assert determinant(Matrix.from_rows([[gr(0, 1), 1], [1, gr(0, 1)]])) == gr(-2)
+    assert determinant(Matrix.zeros(0, 0)) == gr(1)
+    rng = random.Random(43)
+    for _ in range(25):
+        a, b = random_matrix(rng, 3, 3), random_matrix(rng, 3, 3)
+        assert determinant(a * b) == determinant(a) * determinant(b)
+        assert (determinant(a) == gr(0)) == (rref(a)[2] < 3)
+    with pytest.raises(DimensionMismatch):
+        determinant(Matrix.zeros(2, 3))
 
 
 def test_outer_product():

@@ -180,6 +180,33 @@ def test_irrational_eigenvalue_multiplicity_is_flagged():
     assert "irrational_eigenvalue_multiplicity_base" in names
 
 
+def test_irrational_check_with_zero_eigenvalue_and_infinite_block():
+    # E = I4 + [1] + [0] and A = B + [0] + [1]: 0 is an eigenvalue and E is
+    # singular, so the check shifts by mu = 1 and the pencil has an infinite
+    # block.  B = C + C (C the companion of x^2 - 2) has two eigenvectors at
+    # each of +-sqrt(2); the companion of (x^2 - 2)^2 has one.  A unimodular
+    # equivalence hides the block structure.
+    n = 6
+    e = Matrix.from_rows([[int(i == j and i < 5) for j in range(n)] for i in range(n)])
+    s = Matrix.from_rows([[int(j == i) + int(j == i + 1) for j in range(n)] for i in range(n)])
+    t = Matrix.from_rows([[int(j == i) - int(j == i - 2) for j in range(n)] for i in range(n)])
+    other = OperatorPencil.from_matrices(Matrix.identity(n), jordan_block(gr(1), n))
+
+    def names(b_rows):
+        a = Matrix.from_rows(
+            [row + [0, 0] for row in b_rows] + [[0] * n, [0] * (n - 1) + [1]]
+        )
+        base = OperatorPencil.from_matrices(e, a).apply_equivalence(s, t)
+        assert base.det_poly.evaluate(gr(0)).is_zero and base.det_poly.degree == n - 1
+        assert base.spectrum().residual.degree == 4
+        return {v.name for v in weyr_delta_check(base, other).violations}
+
+    two_blocks = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    one_block = [[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]]
+    assert "irrational_eigenvalue_multiplicity_base" in names(two_blocks)
+    assert "irrational_eigenvalue_multiplicity_base" not in names(one_block)
+
+
 def test_greedy_shrink_reaches_minimal_inputs():
     blocks = CanonicalSpec(((gr(1), 2), (gr(0), 1)), (1,))
     s = Matrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])

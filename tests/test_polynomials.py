@@ -1,4 +1,4 @@
-"""Polynomial ring operations and fraction-free pencil determinants."""
+"""Polynomial ring operations and interpolated pencil determinants."""
 
 import itertools
 import random
@@ -9,7 +9,6 @@ from weyrlab.errors import DimensionMismatch
 from weyrlab.linalg import Matrix
 from weyrlab.polynomials import (
     Polynomial,
-    minor_gcd_poly,
     pencil_det_poly,
     poly_gcd,
     squarefree_decomposition,
@@ -119,30 +118,36 @@ def test_pencil_det_against_leibniz_oracle():
         assert pencil_det_poly(p, q) == leibniz_det(p, q)
 
 
-def test_minor_gcd_examples():
-    i2 = Matrix.identity(2)
-    d = Matrix.from_rows([[2, 0], [0, 3]])
-    # full-order minor of a square regular pencil is the det up to scale
-    assert minor_gcd_poly(i2, d, 2) == pencil_det_poly(i2, d).monic()
-    assert minor_gcd_poly(Matrix.zeros(2, 2), Matrix.zeros(2, 2), 1).is_zero
-    # 2x1 pencil with minors x and -1
-    assert minor_gcd_poly(Matrix.from_rows([[1], [0]]), Matrix.from_rows([[0], [1]]), 1) == Polynomial.one()
-    with pytest.raises(DimensionMismatch):
-        minor_gcd_poly(i2, i2, 3)
+def test_pencil_det_matches_sympy():
+    # Gaussian entries and a singular E (one row of E is a combination of
+    # the others), so the degree drops below n and infinity is an eigenvalue.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
 
+    x = sympy.Symbol("x")
+    rng = random.Random(23)
 
-def test_minor_gcd_detects_shared_eigenvector_structure():
-    # two Jordan blocks at 0: the order-3 gcd is the product of the first
-    # three invariant factors, x^2, so 0 shows up as a root exactly when the
-    # geometric multiplicity exceeds one.
-    e = Matrix.identity(4)
-    a = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-    g = minor_gcd_poly(e, a, 3)
-    assert g == Polynomial.from_coeffs([0, 0, 1])
-    assert g.evaluate(gr(0)).is_zero
-    # a single Jordan block keeps full rank drop-off: gcd stays 1
-    single = Matrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-    assert minor_gcd_poly(e, single, 3) == Polynomial.one()
+    def draw():
+        return gr(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    def to_sympy(c):
+        return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+            c.im.numerator, c.im.denominator
+        )
+
+    for n in [1, 2, 3, 4, 5, 6, 7, 7]:
+        e_rows = [[draw() for _ in range(n)] for _ in range(n)]
+        r = rng.randrange(n)
+        weights = [draw() for _ in range(n)]
+        e_rows[r] = [sum((weights[i] * e_rows[i][j] for i in range(n) if i != r), gr(0)) for j in range(n)]
+        e = Matrix.from_rows(e_rows)
+        a = Matrix.from_rows([[draw() for _ in range(n)] for _ in range(n)])
+        m = sympy.Matrix(n, n, lambda i, j: x * to_sympy(e.at(i, j)) - to_sympy(a.at(i, j)))
+        dm = DomainMatrix.from_Matrix(m)
+        expected = sympy.Poly(dm.domain.to_sympy(dm.det()), x).all_coeffs()[::-1]
+        det = pencil_det_poly(e, a)
+        assert det.degree < n
+        assert [to_sympy(c) for c in det.coeffs] == expected
 
 
 def test_poly_str_is_stable():
