@@ -6,7 +6,6 @@ are all checked bit-exactly rather than numerically.
 """
 
 from .errors import (
-    ContainmentError,
     DimensionMismatch,
     NoResolventPointError,
     NotRegularError,
@@ -38,11 +37,9 @@ from .linalg import (
     matrix_inverse,
     null_space,
     outer_product,
-    quotient_dim,
     rref,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
     vector,
 )
 from .polynomials import (
@@ -62,7 +59,6 @@ from .perturbations import (
     VerificationReport,
     Violation,
     apply_perturbation,
-    matching_representation_distance,
     random_trial,
     relation_distance,
     run_suite,

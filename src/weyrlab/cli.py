@@ -29,9 +29,12 @@ from .io_formats import (
 from .pencils import CanonicalSpec, OperatorPencil, sorted_points
 from .perturbations import (
     SUITE_NAMES,
+    TYPE_U,
+    TYPE_V,
     PerturbationSpec,
     SuiteConfig,
     apply_perturbation,
+    random_unimodular_matrix,
     relation_distance,
     run_suite,
     weyr_delta_check,
@@ -150,12 +153,12 @@ def _build_perturbation(args) -> PerturbationSpec:
             raise WeyrlabError("--type v requires --w")
         if args.wfunc is not None:
             raise WeyrlabError("--type v does not take --wfunc")
-        return PerturbationSpec(kind="type_v", u=u, v_func=v_func, w=parse_vector(args.w))
+        return PerturbationSpec(kind=TYPE_V, u=u, v_func=v_func, w=parse_vector(args.w))
     if args.wfunc is None:
         raise WeyrlabError("--type u requires --wfunc")
     if args.w is not None:
         raise WeyrlabError("--type u does not take --w")
-    return PerturbationSpec(kind="type_u", u=u, v_func=v_func, w_func=parse_vector(args.wfunc))
+    return PerturbationSpec(kind=TYPE_U, u=u, v_func=v_func, w_func=parse_vector(args.wfunc))
 
 
 def cmd_perturb(args) -> int:
@@ -168,7 +171,7 @@ def cmd_perturb(args) -> int:
     range_distance = relation_distance(
         pencil.range_representation(), perturbed.range_representation()
     )
-    if pspec.kind == "type_v":
+    if pspec.kind == TYPE_V:
         matching_side, matching_distance = "range", range_distance
     else:
         matching_side, matching_distance = "kernel", kernel_distance
@@ -274,8 +277,6 @@ def cmd_gen(args) -> int:
     blocks = _parse_blocks(args.blocks)
     pencil = OperatorPencil.from_canonical(blocks)
     if args.seed is not None:
-        from .perturbations import random_unimodular_matrix
-
         rng = random.Random(f"gen:{args.seed}")
         n = pencil.n
         pencil = pencil.apply_equivalence(

@@ -9,10 +9,6 @@ class DimensionMismatch(WeyrlabError):
     """Operands have incompatible shapes or ambient dimensions."""
 
 
-class ContainmentError(WeyrlabError):
-    """A quotient was requested for a subspace pair without containment."""
-
-
 class SingularMatrixError(WeyrlabError):
     """A matrix required to be invertible is singular."""
 

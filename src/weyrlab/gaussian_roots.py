@@ -85,8 +85,8 @@ def _lift(coeffs: list[GInt], deriv: list[GInt], r: GInt, p: int, bound: int) ->
 
 def _roots_of_squarefree(f: Polynomial) -> list[GaussianRational]:
     """All Q(i) roots of a square-free nonconstant f."""
-    denom = math.lcm(*(d for c in f.coeffs for d in (c.re_den, c.im_den)))
-    coeffs = [(c.re_num * (denom // c.re_den), c.im_num * (denom // c.im_den)) for c in f.coeffs]
+    denom = math.lcm(*(x.denominator for c in f.coeffs for x in (c.re, c.im)))
+    coeffs = [(int(c.re * denom), int(c.im * denom)) for c in f.coeffs]
     deriv = [(k * a, k * b) for k, (a, b) in enumerate(coeffs)][1:]
     lead = coeffs[-1]
     # |a| + |b| >= |a + bi|, so this integer is at least B.

@@ -1,7 +1,6 @@
 """File formats and JSON serialization.
 
 Pencil files:    {"n": int, "E": [[scalar, ...], ...], "A": [[scalar, ...], ...]}
-Relation files:  {"dim_x": int, "dim_y": int, "basis": [{"x": [...], "y": [...]}, ...]}
 
 Scalars use the exact text format of the scalars module (`a/b`,
 `a/b+c/d*i`, integer shorthand).  Everything is canonicalized on load, and
@@ -15,12 +14,12 @@ import json
 from dataclasses import asdict
 from typing import Any
 
-from .errors import ParseError
+from .errors import ParseError, WeyrlabError
 from .linalg import Matrix, Vector, vector
 from .pencils import OperatorPencil
 from .perturbations import TrialResult, VerificationReport, Violation
 from .polynomials import Polynomial
-from .relations import LinearRelation, SpectrumReport, WeyrTable
+from .relations import SpectrumReport, WeyrTable
 from .scalars import (
     ExtendedScalar,
     format_extended,
@@ -34,9 +33,6 @@ __all__ = [
     "pencil_from_dict",
     "load_pencil",
     "save_pencil",
-    "relation_to_dict",
-    "relation_from_dict",
-    "load_relation",
     "parse_vector",
     "parse_point_list",
     "polynomial_to_list",
@@ -105,60 +101,26 @@ def pencil_from_dict(data: Any) -> OperatorPencil:
     return OperatorPencil(n, e_mat, a_mat)
 
 
-def _load_json(path: str, what: str) -> Any:
+def load_pencil(path: str) -> OperatorPencil:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {what} file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
-
-
-def load_pencil(path: str) -> OperatorPencil:
-    return pencil_from_dict(_load_json(path, "pencil"))
+        raise ParseError(f"cannot read pencil file: {exc}") from exc
+    # ValueError covers malformed JSON, bad UTF-8 and integers past the
+    # interpreter's digit limit; RecursionError covers very deep nesting.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"pencil file is not valid JSON: {exc}") from exc
+    return pencil_from_dict(data)
 
 
 def save_pencil(p: OperatorPencil, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(pencil_to_dict(p)))
-        fh.write("\n")
-
-
-# -- relation files -------------------------------------------------------------
-
-def relation_to_dict(rel: LinearRelation) -> dict:
-    basis = []
-    for v in rel.span.basis_vectors():
-        basis.append(
-            {
-                "x": [format_scalar(c) for c in v[: rel.dim_x]],
-                "y": [format_scalar(c) for c in v[rel.dim_x :]],
-            }
-        )
-    return {"dim_x": rel.dim_x, "dim_y": rel.dim_y, "basis": basis}
-
-
-def relation_from_dict(data: Any) -> LinearRelation:
-    _require(isinstance(data, dict), "relation file must hold a JSON object")
-    for key in ("dim_x", "dim_y", "basis"):
-        _require(key in data, f"relation file is missing {key!r}")
-    dim_x, dim_y = data["dim_x"], data["dim_y"]
-    _require(_is_int(dim_x) and dim_x >= 0, "dim_x must be a nonnegative integer")
-    _require(_is_int(dim_y) and dim_y >= 0, "dim_y must be a nonnegative integer")
-    _require(isinstance(data["basis"], list), "basis must be a list")
-    pairs = []
-    for rec in data["basis"]:
-        _require(isinstance(rec, dict) and "x" in rec and "y" in rec, "basis records need x and y")
-        x = [parse_scalar(str(c)) for c in rec["x"]]
-        y = [parse_scalar(str(c)) for c in rec["y"]]
-        _require(len(x) == dim_x and len(y) == dim_y, "basis vector lengths must match dimensions")
-        pairs.append((x, y))
-    return LinearRelation.from_pairs(dim_x, dim_y, pairs)
-
-
-def load_relation(path: str) -> LinearRelation:
-    return relation_from_dict(_load_json(path, "relation"))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_json(pencil_to_dict(p)))
+            fh.write("\n")
+    except OSError as exc:
+        raise WeyrlabError(f"cannot write pencil file: {exc}") from exc
 
 
 # -- report serialization ---------------------------------------------------------

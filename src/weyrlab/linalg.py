@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContainmentError, DimensionMismatch, SingularMatrixError
+from .errors import DimensionMismatch, SingularMatrixError
 from .scalars import GaussianRational, gr
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Vector",
     "as_scalar",
     "vector",
-    "unit_vector",
     "rref",
     "null_space",
     "column_space",
@@ -29,7 +28,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersect",
     "contains",
-    "quotient_dim",
     "map_image",
     "map_preimage",
 ]
@@ -50,10 +48,6 @@ def as_scalar(x) -> GaussianRational:
 
 def vector(values) -> Vector:
     return tuple(as_scalar(v) for v in values)
-
-
-def unit_vector(i: int, n: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -121,13 +115,6 @@ class Matrix:
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> Matrix:
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __add__(self, other: Matrix) -> Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -289,20 +276,6 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return self.basis.columns()
 
-    def contains_vector(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        # Reduce v against the canonical basis rows.
-        residue = [as_scalar(x) for x in v]
-        for b in self.basis_vectors():
-            lead = next((i for i, x in enumerate(b) if x), None)
-            if lead is not None and residue[lead]:
-                f = residue[lead]  # basis leading entry is 1
-                for i in range(self.ambient_dim):
-                    if b[i]:
-                        residue[i] = residue[i] - f * b[i]
-        return all(not x for x in residue)
-
     def __str__(self) -> str:
         return f"span{{{', '.join('(' + ', '.join(map(str, v)) + ')' for v in self.basis_vectors())}}}"
 
@@ -397,13 +370,6 @@ def contains(u: Subspace, v: Subspace) -> bool:
     """True when v is a subset of u."""
     _check_same_ambient(u, v)
     return subspace_sum(u, v).dim == u.dim
-
-
-def quotient_dim(small: Subspace, big: Subspace) -> int:
-    _check_same_ambient(small, big)
-    if not contains(big, small):
-        raise ContainmentError("quotient requires the first subspace inside the second")
-    return big.dim - small.dim
 
 
 def map_image(m: Matrix, s: Subspace) -> Subspace:

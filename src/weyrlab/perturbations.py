@@ -53,7 +53,6 @@ __all__ = [
     "PerturbationSpec",
     "apply_perturbation",
     "relation_distance",
-    "matching_representation_distance",
     "weyr_delta_check",
     "Violation",
     "TrialResult",
@@ -128,15 +127,6 @@ def _matching_relations(
     if kind == TYPE_V:
         return base.range_representation(), pert.range_representation()
     return base.kernel_representation(), pert.kernel_representation()
-
-
-def matching_representation_distance(p: OperatorPencil, s: PerturbationSpec) -> tuple[int, bool]:
-    """Distance between base and perturbed representations on the matching side.
-
-    The bound distance <= 1 holds regardless of regularity.
-    """
-    d = relation_distance(*_matching_relations(p, apply_perturbation(p, s), s.kind))
-    return d, d <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -589,19 +579,15 @@ def _suite_kernel_range_identities(config: SuiteConfig, trial_id: int) -> TrialR
         ("resolvent_form_range", p.resolvent_form_range(mu, lam) == rrs),
         ("resolvent_form_kernel", p.resolvent_form_kernel(mu, lam) == krs),
     ]
-    rank_lam = rref(p.at_point(lam))[2]
+    ker_lam, codim_lam = p.fredholm_data(lam)
+    checks.append(("fredholm_kernel_dims", ker_lam == krs.kernel().dim == rrs.kernel().dim))
     checks.append(
-        ("fredholm_kernel_dims", (n - rank_lam) == krs.kernel().dim == rrs.kernel().dim)
+        ("fredholm_range_codims", codim_lam == (n - krs.range_of().dim) == (n - rrs.range_of().dim))
     )
+    ker_inf, codim_inf = p.fredholm_data(INF)
+    checks.append(("fredholm_infinity_dims", ker_inf == kr.mul_part().dim == rr.mul_part().dim))
     checks.append(
-        ("fredholm_range_codims", (n - rank_lam) == (n - krs.range_of().dim) == (n - rrs.range_of().dim))
-    )
-    rank_e = rref(e_mat)[2]
-    checks.append(
-        ("fredholm_infinity_dims", (n - rank_e) == kr.mul_part().dim == rr.mul_part().dim)
-    )
-    checks.append(
-        ("fredholm_infinity_codims", (n - rank_e) == (n - kr.domain().dim) == (n - rr.domain().dim))
+        ("fredholm_infinity_codims", codim_inf == (n - kr.domain().dim) == (n - rr.domain().dim))
     )
     violations = tuple(Violation(name, lam) for name, ok in checks if not ok)
     return TrialResult(trial_id, p, violations=violations)

@@ -53,10 +53,6 @@ class Polynomial:
         return Polynomial.from_coeffs([c])
 
     @staticmethod
-    def variable() -> Polynomial:
-        return Polynomial((_ZERO, _ONE))
-
-    @staticmethod
     def linear_root(r: GaussianRational) -> Polynomial:
         """The monic factor (x - r)."""
         return Polynomial((-r, _ONE))
@@ -227,7 +223,12 @@ def pencil_det_poly(p_mat: Matrix, q_mat: Matrix) -> Polynomial:
         raise DimensionMismatch("determinant pencil needs equal square matrices")
     n = p_mat.rows
     # Divided differences on the nodes 0..n: afterwards c[k] = f[0, ..., k].
-    c = [determinant(p_mat.scale(k) - q_mat) for k in range(n + 1)]
+    # The node matrices k * p_mat - q_mat are stepped by one addition each.
+    node = -q_mat
+    c = [determinant(node)]
+    for _ in range(n):
+        node = node + p_mat
+        c.append(determinant(node))
     for j in range(1, n + 1):
         for k in range(n, j - 1, -1):
             c[k] = (c[k] - c[k - 1]) / j

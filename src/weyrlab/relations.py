@@ -2,8 +2,8 @@
 
 A relation is stored only through the canonical form of its span, so
 relation equality is value equality and every operation reduces to exact
-subspace computations on block matrices.  Sums and compositions go through
-the fiber-product kernel of a stacked system.  Root subspaces come from one
+subspace computations on block matrices.  Compositions go through the
+fiber-product kernel of a stacked system.  Root subspaces come from one
 chain per point: `root_chain` composes the shifted relation until the
 subspaces S_1, S_2, ... stop growing, and `root_subspace`, the stabilized
 root subspace and `weyr_table` are all read from that chain.
@@ -27,7 +27,6 @@ from .linalg import (
     matrix_inverse,
     null_space,
     subspace_intersect,
-    vector,
 )
 from .polynomials import Polynomial, pencil_det_poly
 from .gaussian_roots import gaussian_rational_roots
@@ -110,9 +109,6 @@ class SpectrumReport:
     def has_infinity(self) -> bool:
         return self.infinity_multiplicity > 0
 
-    def total_finite_multiplicity(self) -> int:
-        return sum(m for _, m in self.finite_eigenvalues)
-
     def eigenvalue_points(self) -> tuple[ExtendedScalar, ...]:
         points: list[ExtendedScalar] = [v for v, _ in self.finite_eigenvalues]
         if self.has_infinity:
@@ -135,17 +131,6 @@ class LinearRelation:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_pairs(dim_x: int, dim_y: int, pairs) -> LinearRelation:
-        vecs = []
-        for x, y in pairs:
-            x = vector(x)
-            y = vector(y)
-            if len(x) != dim_x or len(y) != dim_y:
-                raise DimensionMismatch("pair does not match the relation dimensions")
-            vecs.append(x + y)
-        return LinearRelation(dim_x, dim_y, Subspace.from_spanning(dim_x + dim_y, vecs))
-
-    @staticmethod
     def from_graph(m: Matrix) -> LinearRelation:
         stacked = Matrix.identity(m.cols).vstack(m)
         return LinearRelation(m.cols, m.rows, Subspace.from_spanning(m.cols + m.rows, stacked.columns()))
@@ -153,10 +138,6 @@ class LinearRelation:
     @staticmethod
     def identity(n: int) -> LinearRelation:
         return LinearRelation.from_graph(Matrix.identity(n))
-
-    @staticmethod
-    def full(dim_x: int, dim_y: int) -> LinearRelation:
-        return LinearRelation(dim_x, dim_y, Subspace.full(dim_x + dim_y))
 
     # -- span blocks ---------------------------------------------------------
 
@@ -166,12 +147,8 @@ class LinearRelation:
     def y_block(self) -> Matrix:
         return self.span.basis.row_slice(self.dim_x, self.dim_x + self.dim_y)
 
-    @property
-    def is_square(self) -> bool:
-        return self.dim_x == self.dim_y
-
     def _require_square(self):
-        if not self.is_square:
+        if self.dim_x != self.dim_y:
             raise DimensionMismatch("operation requires a square relation")
 
     # -- kernel / domain / range / multivalued part -------------------------
@@ -189,22 +166,6 @@ class LinearRelation:
         return map_image(self.y_block(), null_space(self.x_block()))
 
     # -- relation algebra ----------------------------------------------------
-
-    def op_sum(self, other: LinearRelation) -> LinearRelation:
-        """{(x, y1 + y2) : (x, y1) in self, (x, y2) in other}."""
-        if (self.dim_x, self.dim_y) != (other.dim_x, other.dim_y):
-            raise DimensionMismatch("relation sum needs matching dimensions")
-        pl, ql = self.x_block(), self.y_block()
-        pm, qm = other.x_block(), other.y_block()
-        ker = null_space(pl.hstack(-pm))
-        dl = pl.cols
-        vecs = []
-        for c in ker.basis_vectors():
-            a, b = c[:dl], c[dl:]
-            x = pl.apply(a)
-            y = tuple(p + q for p, q in zip(ql.apply(a), qm.apply(b)))
-            vecs.append(x + y)
-        return LinearRelation(self.dim_x, self.dim_y, Subspace.from_spanning(self.dim_x + self.dim_y, vecs))
 
     def compose(self, inner: LinearRelation) -> LinearRelation:
         """self after inner: {(x, z) : (x, y) in inner, (y, z) in self}."""

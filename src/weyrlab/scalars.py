@@ -50,23 +50,6 @@ class GaussianRational:
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
 
-    # Field surface mirroring the numerator/denominator storage contract.
-    @property
-    def re_num(self) -> int:
-        return self.re.numerator
-
-    @property
-    def re_den(self) -> int:
-        return self.re.denominator
-
-    @property
-    def im_num(self) -> int:
-        return self.im.numerator
-
-    @property
-    def im_den(self) -> int:
-        return self.im.denominator
-
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -112,25 +95,6 @@ class GaussianRational:
     def __rtruediv__(self, other) -> GaussianRational:
         return _coerce(other) / self
 
-    def __pow__(self, k: int) -> GaussianRational:
-        if k < 0:
-            return ONE / (self ** (-k))
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """The field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -149,9 +113,6 @@ def _coerce(x) -> GaussianRational:
 def gr(re=0, im=0) -> GaussianRational:
     """Shorthand constructor accepting ints and Fractions."""
     return GaussianRational(re, im)
-
-
-ONE = GaussianRational(1)
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,18 @@ def test_gen_rejects_malformed_blocks(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing_directory", "directory"])
+def test_gen_unwritable_out_is_an_input_error(tmp_path, target):
+    proc = subprocess.run(
+        [sys.executable, "-m", "weyrlab.cli", "gen", "--blocks", "1@inf", "--out", str(tmp_path / target)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write pencil file: ")
+
+
 def test_usage_error_exit_code_via_subprocess(tmp_path):
     # argparse usage failures must exit 2 through the console entry point
     proc = subprocess.run(

@@ -1,20 +1,15 @@
 """File formats: exact round trips, canonicalization on load, rejection."""
 
-import json
-
 import pytest
 
 from weyrlab.errors import ParseError
 from weyrlab.io_formats import (
     dump_json,
     load_pencil,
-    load_relation,
     parse_point_list,
     parse_vector,
     pencil_from_dict,
     pencil_to_dict,
-    relation_from_dict,
-    relation_to_dict,
     report_to_dict,
     trial_result_to_dict,
     weyr_table_to_dict,
@@ -22,7 +17,7 @@ from weyrlab.io_formats import (
 from weyrlab.linalg import Matrix
 from weyrlab.pencils import OperatorPencil, jordan_block
 from weyrlab.perturbations import SuiteConfig, TrialResult, VerificationReport, Violation
-from weyrlab.relations import LinearRelation, WeyrTable
+from weyrlab.relations import WeyrTable
 from weyrlab.scalars import INF, gr
 
 
@@ -54,36 +49,6 @@ def test_pencil_rejects_bad_records(tmp_path):
         load_pencil(str(missing))
 
 
-def test_relation_round_trip_and_canonicalization(tmp_path):
-    rel = LinearRelation.from_graph(jordan_block(gr(0), 2))
-    data = relation_to_dict(rel)
-    assert relation_from_dict(data) == rel
-
-    # a redundant, scaled basis canonicalizes to the same relation on load
-    messy = {
-        "dim_x": 2,
-        "dim_y": 2,
-        "basis": [
-            {"x": ["2", "0"], "y": ["0", "0"]},
-            {"x": ["0", "1"], "y": ["1", "0"]},
-            {"x": ["2", "1"], "y": ["1", "0"]},
-        ],
-    }
-    assert relation_from_dict(messy) == rel
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(messy), encoding="utf-8")
-    assert load_relation(str(path)) == rel
-
-
-def test_relation_rejects_bad_records():
-    with pytest.raises(ParseError):
-        relation_from_dict({"dim_x": 1, "dim_y": 1})
-    with pytest.raises(ParseError):
-        relation_from_dict({"dim_x": 1, "dim_y": 1, "basis": [{"x": ["1", "2"], "y": ["0"]}]})
-    with pytest.raises(ParseError):
-        relation_from_dict({"dim_x": -1, "dim_y": 1, "basis": []})
-
-
 def test_vector_and_point_parsing():
     assert parse_vector("1,2/3,-1+1*i") == (gr(1), gr(2) / gr(3), gr(-1, 1))
     assert parse_point_list("0,inf") == [gr(0), INF]
@@ -108,10 +73,6 @@ def test_dump_json_is_stable():
 def test_dimensions_reject_booleans():
     with pytest.raises(ParseError):
         pencil_from_dict({"n": True, "E": [["1"]], "A": [["0"]]})
-    with pytest.raises(ParseError):
-        relation_from_dict({"dim_x": True, "dim_y": 1, "basis": [{"x": ["1"], "y": ["0"]}]})
-    with pytest.raises(ParseError):
-        relation_from_dict({"dim_x": 1, "dim_y": False, "basis": []})
 
 
 def test_overlong_scalars_are_parse_errors():
@@ -122,7 +83,7 @@ def test_overlong_scalars_are_parse_errors():
     with pytest.raises(ParseError):
         pencil_from_dict({"n": 1, "E": [["1"]], "A": [["1/" + digits]]})
     with pytest.raises(ParseError):
-        relation_from_dict({"dim_x": 1, "dim_y": 1, "basis": [{"x": ["1"], "y": ["1+" + digits + "*i"]}]})
+        pencil_from_dict({"n": 1, "E": [["1"]], "A": [["1+" + digits + "*i"]]})
 
 
 def _failing_trial() -> TrialResult:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weyrlab.errors import ContainmentError, DimensionMismatch, SingularMatrixError
+from weyrlab.errors import DimensionMismatch, SingularMatrixError
 from weyrlab.linalg import (
     Matrix,
     Subspace,
@@ -17,11 +17,9 @@ from weyrlab.linalg import (
     matrix_inverse,
     null_space,
     outer_product,
-    quotient_dim,
     rref,
     subspace_intersect,
     subspace_sum,
-    unit_vector,
     vector,
 )
 from weyrlab.scalars import gr
@@ -62,7 +60,7 @@ def test_null_space_examples():
 
 def test_column_space_examples():
     assert column_space(Matrix.identity(2)) == Subspace.full(2)
-    assert column_space(Matrix.from_rows([[1], [0]])) == Subspace.from_spanning(2, [unit_vector(0, 2)])
+    assert column_space(Matrix.from_rows([[1], [0]])) == Subspace.from_spanning(2, [vector([1, 0])])
     assert column_space(Matrix.from_rows([[1, 2], [2, 4]])).dim == 1
 
 
@@ -88,22 +86,14 @@ def test_subspace_canonicality_under_shuffle():
 
 
 def test_intersection_example_with_membership_oracle():
-    e1, e2, e3 = (unit_vector(i, 3) for i in range(3))
+    e1, e2, e3 = vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])
     u = Subspace.from_spanning(3, [e1, e2])
     v = Subspace.from_spanning(3, [e2, e3])
     w = subspace_intersect(u, v)
     assert w == Subspace.from_spanning(3, [e2])
     for b in w.basis_vectors():
-        assert u.contains_vector(b) and v.contains_vector(b)
-
-
-def test_quotient_dims():
-    full = Subspace.full(3)
-    line = Subspace.from_spanning(3, [unit_vector(0, 3)])
-    assert quotient_dim(full, full) == 0
-    assert quotient_dim(line, full) == 2
-    with pytest.raises(ContainmentError):
-        quotient_dim(full, line)
+        line = Subspace.from_spanning(3, [b])
+        assert contains(u, line) and contains(v, line)
 
 
 def test_ambient_mismatch_rejected():
@@ -132,7 +122,7 @@ def test_map_image_and_preimage_examples():
     assert map_preimage(Matrix.zeros(2, 2), Subspace.zero(2)) == Subspace.full(2)
     j2 = Matrix.from_rows([[0, 1], [0, 0]])
     # J2 x = (x2, 0) always lies on the first axis.
-    assert map_preimage(j2, Subspace.from_spanning(2, [unit_vector(0, 2)])) == Subspace.full(2)
+    assert map_preimage(j2, Subspace.from_spanning(2, [vector([1, 0])])) == Subspace.full(2)
 
 
 def test_preimage_is_exact_solution_set():
@@ -143,7 +133,7 @@ def test_preimage_is_exact_solution_set():
         s = Subspace.from_spanning(rows, [vector([rng.randint(-2, 2) for _ in range(rows)]) for _ in range(rng.randint(0, 2))])
         pre = map_preimage(m, s)
         for b in pre.basis_vectors():
-            assert s.contains_vector(m.apply(b))
+            assert contains(s, Subspace.from_spanning(rows, [m.apply(b)]))
         # and the image of the preimage lands inside s
         assert contains(s, map_image(m, pre))
 
@@ -200,6 +190,5 @@ def test_matrix_algebra_basics():
     assert a * b == Matrix.from_rows([[2, 1], [4, 3]])
     assert (a + b) - b == a
     assert a.scale(gr(Fraction(1, 2))) == Matrix.from_rows([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
-    assert a.transpose().transpose() == a
     assert a.hstack(b).row(0) == vector([1, 2, 0, 1])
     assert a.vstack(b).column(0) == vector([1, 3, 0, 1])
