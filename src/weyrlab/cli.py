@@ -39,7 +39,7 @@ from .perturbations import (
     run_suite,
     weyr_delta_check,
 )
-from .scalars import INF, format_extended, parse_scalar
+from .scalars import INF, format_extended, parse_extended, parse_scalar
 
 __all__ = ["main", "build_parser"]
 
@@ -146,19 +146,15 @@ def cmd_repr_check(args) -> int:
 
 
 def _build_perturbation(args) -> PerturbationSpec:
+    """--w is the column of type v, --wfunc the functional of type u; both fill the spec's w."""
     u = parse_vector(args.u)
     v_func = parse_vector(args.vfunc)
-    if args.type == "v":
-        if args.w is None:
-            raise WeyrlabError("--type v requires --w")
-        if args.wfunc is not None:
-            raise WeyrlabError("--type v does not take --wfunc")
-        return PerturbationSpec(kind=TYPE_V, u=u, v_func=v_func, w=parse_vector(args.w))
-    if args.wfunc is None:
-        raise WeyrlabError("--type u requires --wfunc")
-    if args.w is not None:
-        raise WeyrlabError("--type u does not take --w")
-    return PerturbationSpec(kind=TYPE_U, u=u, v_func=v_func, w_func=parse_vector(args.wfunc))
+    kind, flag, other = (TYPE_V, "w", "wfunc") if args.type == "v" else (TYPE_U, "wfunc", "w")
+    if getattr(args, flag) is None:
+        raise WeyrlabError(f"--type {args.type} requires --{flag}")
+    if getattr(args, other) is not None:
+        raise WeyrlabError(f"--type {args.type} does not take --{other}")
+    return PerturbationSpec(kind=kind, u=u, v_func=v_func, w=parse_vector(getattr(args, flag)))
 
 
 def cmd_perturb(args) -> int:
@@ -253,8 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_blocks(text: str) -> CanonicalSpec:
-    finite = []
-    infinite = []
+    blocks = []
     for part in text.split(","):
         part = part.strip()
         if "@" not in part:
@@ -266,11 +261,8 @@ def _parse_blocks(text: str) -> CanonicalSpec:
             raise WeyrlabError(f"malformed block size {size_text!r}") from exc
         if size <= 0:
             raise WeyrlabError("block sizes must be positive")
-        if value_text == "inf":
-            infinite.append(size)
-        else:
-            finite.append((parse_scalar(value_text), size))
-    return CanonicalSpec(tuple(finite), tuple(infinite))
+        blocks.append((parse_extended(value_text), size))
+    return CanonicalSpec(tuple(blocks))
 
 
 def cmd_gen(args) -> int:

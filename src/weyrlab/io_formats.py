@@ -72,7 +72,11 @@ def _scalar_rows_to_matrix(rows: Any, what: str) -> Matrix:
     parsed = []
     for row in rows:
         _require(isinstance(row, list), f"{what} rows must be lists")
-        parsed.append([parse_scalar(str(x)) for x in row])
+        try:
+            texts = [str(x) for x in row]
+        except ValueError as exc:  # an int past the interpreter's int-to-str digit limit
+            raise ParseError(f"{what} entry too long: {exc}") from exc
+        parsed.append([parse_scalar(t) for t in texts])
     widths = {len(r) for r in parsed}
     _require(len(widths) == 1, f"{what} rows have inconsistent lengths")
     return Matrix.from_rows(parsed)

@@ -8,10 +8,9 @@ routines use exact field arithmetic; there is no tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMatrixError
-from .scalars import GaussianRational, gr
+from .scalars import GaussianRational, as_scalar, gr
 
 __all__ = [
     "Matrix",
@@ -36,14 +35,6 @@ Vector = tuple[GaussianRational, ...]
 
 _ZERO = gr(0)
 _ONE = gr(1)
-
-
-def as_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
 def vector(values) -> Vector:

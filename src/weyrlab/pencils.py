@@ -35,44 +35,27 @@ __all__ = ["OperatorPencil", "SpectrumReport", "CanonicalSpec", "jordan_block"]
 
 @dataclass(frozen=True)
 class CanonicalSpec:
-    """Weierstrass-form block description used to generate test pencils."""
+    """Weierstrass-form blocks of a test pencil: (point, size) pairs, INF marking an infinite block."""
 
-    finite_blocks: tuple[tuple[GaussianRational, int], ...]
-    infinite_blocks: tuple[int, ...]
+    blocks: tuple[tuple[ExtendedScalar, int], ...]
 
     def __post_init__(self):
-        if any(s <= 0 for _, s in self.finite_blocks) or any(s <= 0 for s in self.infinite_blocks):
+        if any(s <= 0 for _, s in self.blocks):
             raise ValueError("block sizes must be positive")
 
     @property
     def total_size(self) -> int:
-        return sum(s for _, s in self.finite_blocks) + sum(self.infinite_blocks)
+        return sum(s for _, s in self.blocks)
 
     def eigenvalue_points(self) -> tuple[ExtendedScalar, ...]:
-        seen: list[ExtendedScalar] = []
-        for v, _ in self.finite_blocks:
-            if v not in seen:
-                seen.append(v)
-        if self.infinite_blocks:
-            seen.append(INF)
-        return tuple(seen)
+        """Block points in first-seen order, INF last."""
+        first_seen = dict.fromkeys(v for v, _ in self.blocks)
+        return tuple(sorted(first_seen, key=lambda v: isinstance(v, Infinity)))
 
     def expected_weyr_indices(self, at: ExtendedScalar) -> tuple[int, ...]:
         """Planted Weyr table: w_k counts blocks of size >= k at this point."""
-        if isinstance(at, Infinity):
-            sizes = list(self.infinite_blocks)
-        else:
-            sizes = [s for v, s in self.finite_blocks if v == at]
-        if not sizes:
-            return ()
-        out = []
-        k = 1
-        while True:
-            w = sum(1 for s in sizes if s >= k)
-            if w == 0:
-                return tuple(out)
-            out.append(w)
-            k += 1
+        sizes = [s for v, s in self.blocks if v == at]
+        return tuple(sum(s >= k for s in sizes) for k in range(1, max(sizes, default=0) + 1))
 
 
 def jordan_block(value: GaussianRational, size: int) -> Matrix:
@@ -218,17 +201,19 @@ class OperatorPencil:
 
     @staticmethod
     def from_canonical(spec: CanonicalSpec) -> OperatorPencil:
-        """Weierstrass assembly: finite block (I, J(value)); infinite block (J(0), I)."""
+        """Weierstrass assembly, finite blocks first: finite (I, J(value)); infinite (J(0), I)."""
+        if not spec.blocks:
+            raise ValueError("canonical description needs at least one block")
         e_blocks: list[Matrix] = []
         a_blocks: list[Matrix] = []
-        for value, size in spec.finite_blocks:
-            e_blocks.append(Matrix.identity(size))
-            a_blocks.append(jordan_block(value, size))
-        for size in spec.infinite_blocks:
-            e_blocks.append(jordan_block(gr(0), size))
-            a_blocks.append(Matrix.identity(size))
-        if not e_blocks:
-            raise ValueError("canonical description needs at least one block")
+        for value, size in sorted(spec.blocks, key=lambda b: isinstance(b[0], Infinity)):
+            identity = Matrix.identity(size)
+            if isinstance(value, Infinity):
+                e_blocks.append(jordan_block(gr(0), size))
+                a_blocks.append(identity)
+            else:
+                e_blocks.append(identity)
+                a_blocks.append(jordan_block(value, size))
         return OperatorPencil.from_matrices(_block_diag(e_blocks), _block_diag(a_blocks))
 
     def apply_equivalence(self, s_mat: Matrix, t_mat: Matrix) -> OperatorPencil:

@@ -1,9 +1,10 @@
 """Rank-one pencil perturbations and the randomized verification harness.
 
-Two perturbation shapes are supported: the shared-functional kind
-("type_v", E + u v', A + w v') and the shared-vector kind ("type_u",
-E + u v', A + u w').  The first is a one-dimensional perturbation of the
-range representation, the second of the kernel representation, and the
+Two perturbation shapes are supported, each given by the three vectors
+u, v_func (v') and w: the shared-functional kind ("type_v", E + u v',
+A + w v', w a column) and the shared-vector kind ("type_u", E + u v',
+A + u w', w a functional).  The first is a one-dimensional perturbation of
+the range representation, the second of the kernel representation, and the
 Weyr characteristic of a regular pencil moves by at most one per index
 under either; the suites in this module check those facts on seeded
 random draws and shrink any counterexample they find.
@@ -70,33 +71,22 @@ TYPE_U = "type_u"
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Rank-one perturbation data; unused slots stay None.
+    """Rank-one perturbation data: E + u v' with A + w v' (type_v) or A + u w' (type_u).
 
-    type_v uses (u, w, v_func): E + u v', A + w v'.
-    type_u uses (u, v_func, w_func): E + u v', A + u w'.
+    w is a column vector for type_v and a functional for type_u.
     """
 
     kind: str
     u: Vector
     v_func: Vector
-    w: Vector | None = None
-    w_func: Vector | None = None
+    w: Vector
 
     def __post_init__(self):
         if self.kind not in (TYPE_V, TYPE_U):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == TYPE_V and (self.w is None or self.w_func is not None):
-            raise ValueError("type_v uses exactly the slots (u, w, v_func)")
-        if self.kind == TYPE_U and (self.w_func is None or self.w is not None):
-            raise ValueError("type_u uses exactly the slots (u, v_func, w_func)")
 
     def vectors(self) -> tuple[tuple[str, Vector], ...]:
-        out = [("u", self.u), ("v_func", self.v_func)]
-        if self.w is not None:
-            out.append(("w", self.w))
-        if self.w_func is not None:
-            out.append(("w_func", self.w_func))
-        return tuple(out)
+        return (("u", self.u), ("v_func", self.v_func), ("w", self.w))
 
 
 def apply_perturbation(p: OperatorPencil, s: PerturbationSpec) -> OperatorPencil:
@@ -108,7 +98,7 @@ def apply_perturbation(p: OperatorPencil, s: PerturbationSpec) -> OperatorPencil
     if s.kind == TYPE_V:
         a_hat = p.a_mat + outer_product(s.w, s.v_func)
     else:
-        a_hat = p.a_mat + outer_product(s.u, s.w_func)
+        a_hat = p.a_mat + outer_product(s.u, s.w)
     return OperatorPencil(p.n, e_hat, a_hat)
 
 
@@ -166,13 +156,14 @@ class TrialResult:
 
 
 def _index_delta_violations(
-    point: ExtendedScalar, tb: WeyrTable, tp: WeyrTable
+    point: ExtendedScalar, tb: WeyrTable, tp: WeyrTable, name: str = "weyr_index_delta"
 ) -> list[Violation]:
+    """Each w_k may move by at most 1 and each dim S^k by at most k."""
     out = []
     for k in range(1, max(len(tb.indices), len(tp.indices), 1) + 1):
         wb, wp = tb.index_at(k), tp.index_at(k)
         if abs(wb - wp) > 1:
-            out.append(Violation("weyr_index_delta", point, k, wb, wp))
+            out.append(Violation(name, point, k, wb, wp))
         db, dp = tb.root_dim_at(k), tp.root_dim_at(k)
         if abs(db - dp) > k:
             out.append(Violation("root_dim_delta", point, k, db, dp))
@@ -322,17 +313,14 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Matr
 
 
 def _random_canonical_spec(rng: random.Random, n: int) -> CanonicalSpec:
-    finite: list[tuple[GaussianRational, int]] = []
-    infinite: list[int] = []
+    """Blocks of sizes 1..3 summing to n, each infinite with probability 1/4; finite ones listed first."""
+    blocks: list[tuple[ExtendedScalar, int]] = []
     remaining = n
     while remaining:
         size = rng.randint(1, min(remaining, 3))
-        if rng.random() < 0.25:
-            infinite.append(size)
-        else:
-            finite.append((rng.choice(_EIGENVALUE_PALETTE), size))
+        blocks.append((INF if rng.random() < 0.25 else rng.choice(_EIGENVALUE_PALETTE), size))
         remaining -= size
-    return CanonicalSpec(tuple(finite), tuple(infinite))
+    return CanonicalSpec(tuple(sorted(blocks, key=lambda b: isinstance(b[0], Infinity))))
 
 
 def random_unimodular_matrix(rng: random.Random, n: int, bound: int) -> Matrix:
@@ -354,9 +342,7 @@ def random_unimodular_matrix(rng: random.Random, n: int, bound: int) -> Matrix:
 def _random_perturbation(rng: random.Random, n: int, bound: int, kind: str) -> PerturbationSpec:
     u = _random_vector(rng, n, bound)
     v_func = _random_vector(rng, n, bound)
-    if kind == TYPE_V:
-        return PerturbationSpec(kind=TYPE_V, u=u, v_func=v_func, w=_random_vector(rng, n, bound))
-    return PerturbationSpec(kind=TYPE_U, u=u, v_func=v_func, w_func=_random_vector(rng, n, bound))
+    return PerturbationSpec(kind=kind, u=u, v_func=v_func, w=_random_vector(rng, n, bound))
 
 
 @dataclass(frozen=True)
@@ -423,34 +409,22 @@ def _zero_entry(spec: PerturbationSpec, slot: str, index: int) -> PerturbationSp
     return replace(spec, **{slot: new})
 
 
-def _shrunk_blocks(blocks: CanonicalSpec) -> list[CanonicalSpec]:
-    """Candidate simplifications: drop or shorten one block."""
+def _shrunk_blocks(spec: CanonicalSpec) -> list[CanonicalSpec]:
+    """Candidate simplifications in block order: drop or shorten one block."""
     out = []
-    fb, ib = list(blocks.finite_blocks), list(blocks.infinite_blocks)
-    for idx in range(len(fb)):
-        value, size = fb[idx]
-        rest = fb[:idx] + fb[idx + 1 :]
-        if rest or ib:
-            out.append(CanonicalSpec(tuple(rest), tuple(ib)))
+    blocks = spec.blocks
+    for idx, (value, size) in enumerate(blocks):
+        before, after = blocks[:idx], blocks[idx + 1 :]
+        if before or after:
+            out.append(CanonicalSpec(before + after))
         if size > 1:
-            out.append(CanonicalSpec(tuple(fb[:idx] + [(value, size - 1)] + fb[idx + 1 :]), tuple(ib)))
-    for idx in range(len(ib)):
-        size = ib[idx]
-        rest = ib[:idx] + ib[idx + 1 :]
-        if rest or fb:
-            out.append(CanonicalSpec(tuple(fb), tuple(rest)))
-        if size > 1:
-            out.append(CanonicalSpec(tuple(fb), tuple(ib[:idx] + [size - 1] + ib[idx + 1 :])))
+            out.append(CanonicalSpec(before + ((value, size - 1),) + after))
     return out
 
 
 def _resize_pspec(spec: PerturbationSpec, n: int) -> PerturbationSpec:
-    def cut(v: Vector | None) -> Vector | None:
-        return None if v is None else (v + (gr(0),) * n)[:n]
-
-    return PerturbationSpec(
-        kind=spec.kind, u=cut(spec.u), v_func=cut(spec.v_func), w=cut(spec.w), w_func=cut(spec.w_func)
-    )
+    """Each vector cut or zero-padded to length n."""
+    return replace(spec, **{name: (vec + (gr(0),) * n)[:n] for name, vec in spec.vectors()})
 
 
 def greedy_shrink(inputs: TrialInputs, is_violating) -> TrialInputs:
@@ -731,11 +705,7 @@ def _suite_relation_weyr_bound(config: SuiteConfig, trial_id: int) -> TrialResul
     if distance > 1:
         violations.append(Violation("relation_distance_bound", None, None, 0, distance))
     for pt in _SINGULAR_SAMPLE_POINTS:
-        tl = l.weyr_table(pt)
-        tm = m.weyr_table(pt)
-        for k in range(1, max(len(tl.indices), len(tm.indices), 1) + 1):
-            if abs(tl.index_at(k) - tm.index_at(k)) > 1:
-                violations.append(Violation("relation_weyr_delta", pt, k, tl.index_at(k), tm.index_at(k)))
+        violations += _index_delta_violations(pt, l.weyr_table(pt), m.weyr_table(pt), "relation_weyr_delta")
     return TrialResult(trial_id, base, pert, violations=tuple(violations))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, ZeroPolynomialError
 from .linalg import Matrix, determinant
-from .scalars import GaussianRational, gr
+from .scalars import GaussianRational, as_scalar, gr
 
 __all__ = [
     "Polynomial",
@@ -35,7 +35,7 @@ class Polynomial:
 
     @staticmethod
     def from_coeffs(coeffs) -> Polynomial:
-        cs = [c if isinstance(c, GaussianRational) else gr(c) for c in coeffs]
+        cs = [as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         return Polynomial(tuple(cs))

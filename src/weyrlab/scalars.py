@@ -19,6 +19,7 @@ __all__ = [
     "INF",
     "ExtendedScalar",
     "gr",
+    "as_scalar",
     "parse_scalar",
     "format_scalar",
     "parse_extended",
@@ -58,23 +59,23 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __add__(self, other) -> GaussianRational:
-        other = _coerce(other)
+        other = as_scalar(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> GaussianRational:
-        other = _coerce(other)
+        other = as_scalar(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> GaussianRational:
-        return _coerce(other) - self
+        return as_scalar(other) - self
 
     def __neg__(self) -> GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other) -> GaussianRational:
-        other = _coerce(other)
+        other = as_scalar(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -83,7 +84,7 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> GaussianRational:
-        other = _coerce(other)
+        other = as_scalar(other)
         n = other.re * other.re + other.im * other.im
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -93,7 +94,7 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other) -> GaussianRational:
-        return _coerce(other) / self
+        return as_scalar(other) / self
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -102,7 +103,8 @@ class GaussianRational:
         return f"gr({self.re!s}, {self.im!s})" if self.im else f"gr({self.re!s})"
 
 
-def _coerce(x) -> GaussianRational:
+def as_scalar(x) -> GaussianRational:
+    """x itself if it is a GaussianRational, else the int or Fraction x as one."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
@@ -133,8 +135,8 @@ ExtendedScalar = GaussianRational | Infinity
 
 # Text format: `a/b`, `a/b+c/d*i`, `a/b-c/d*i`, with integer shorthand `a`.
 _SCALAR_RE = _re.compile(
-    r"^(?P<re>-?\d+(?:/\d+)?)"
-    r"(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i)?$"
+    r"^(?P<re>-?[0-9]+(?:/[0-9]+)?)"
+    r"(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)\*i)?\Z"
 )
 
 

@@ -45,7 +45,7 @@ def test_criterion_1_zero_pencil_worked_example():
     base = OperatorPencil.from_matrices(zero2, zero2)
     e1, e2 = vector([1, 0]), vector([0, 1])
 
-    type_u = PerturbationSpec(kind="type_u", u=e1, v_func=e1, w_func=e2)
+    type_u = PerturbationSpec(kind="type_u", u=e1, v_func=e1, w=e2)
     range_side = apply_perturbation(base, type_u).range_representation()
     expected_range = Subspace.from_spanning(
         4, [vector([1, 0, 0, 0]), vector([0, 0, 1, 0])]
@@ -160,7 +160,7 @@ def test_criterion_8_matching_side_distances(bound_trial_results):
     zero2 = Matrix.zeros(2, 2)
     base = OperatorPencil.from_matrices(zero2, zero2)
     e1, e2 = vector([1, 0]), vector([0, 1])
-    type_u = PerturbationSpec(kind="type_u", u=e1, v_func=e1, w_func=e2)
+    type_u = PerturbationSpec(kind="type_u", u=e1, v_func=e1, w=e2)
     hat = apply_perturbation(base, type_u)
     offside = relation_distance(base.range_representation(), hat.range_representation())
     assert offside == 2

@@ -112,6 +112,14 @@ def test_repr_check_rejects_eigenvalue_mu(tmp_path, capsys):
     assert "resolvent" in err
 
 
+@pytest.mark.parametrize("mu", ["\u0661\u0662", "12\n"], ids=["arabic_indic_digits", "final_newline"])
+def test_repr_check_rejects_scalars_outside_the_grammar(tmp_path, capsys, mu):
+    path = write_pencil(tmp_path, "d.json", [[1, 0], [0, 1]], [[2, 0], [0, 3]])
+    code, _, err = run_cli(capsys, "repr-check", "--pencil", path, "--mu", mu, "--lambda", "1")
+    assert code == 2
+    assert "malformed scalar" in err
+
+
 def test_repr_check_rejects_singular_pencil(tmp_path, capsys):
     path = write_pencil(tmp_path, "zero.json", [[0, 0], [0, 0]], [[0, 0], [0, 0]])
     code, _, _ = run_cli(capsys, "repr-check", "--pencil", path, "--mu", "0", "--lambda", "1")
@@ -311,6 +319,27 @@ def test_seed_7_reports_are_byte_identical(tmp_path, capsys):
         code, text, _ = run_cli(capsys, *argv)
         assert code == 0, argv[0]
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv[:4]
+
+
+@pytest.mark.parametrize(
+    "blocks, digest",
+    [
+        ("2@inf,2@1", "77c2c601f1b700b49a262062ba7f171c5baa75a8ca113eb8e1613ba7643a4c34"),
+        (
+            "1@inf,2@1/2+1*i,1@inf,3@0",
+            "b97c42f6b7d93dfaaa1f4644f3a3664cb68e6c97392f31bed2afd28c7d54c2d2",
+        ),
+    ],
+)
+def test_gen_interleaved_blocks_are_byte_identical(tmp_path, capsys, blocks, digest):
+    # Infinite blocks listed before or between finite ones; the file bytes pin
+    # the block order of the assembled pencil and the seeded scramble.
+    import hashlib
+
+    out = tmp_path / "p.json"
+    code, _, _ = run_cli(capsys, "gen", "--blocks", blocks, "--seed", "3", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_seed_42_suite_reports_are_byte_identical(capsys):

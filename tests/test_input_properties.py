@@ -37,12 +37,15 @@ PENCIL_LIKE = st.fixed_dictionaries({"n": st.integers(-1, 3) | JSON, "E": ROWS, 
 
 @FUZZ
 @given(st.text() | SCALAR_TEXT)
+@example("1\n")  # `$` would match before the final newline
+@example("\u0661\u0662")  # Arabic-Indic 12: `\d` would match it
 def test_parse_scalar_returns_a_value_or_parse_error(text):
     try:
         value = parse_scalar(text)
     except ParseError:
         return
     assert isinstance(value, GaussianRational)
+    assert set(text) <= set("0123456789/+-*i")
 
 
 @FUZZ

@@ -84,6 +84,9 @@ def test_overlong_scalars_are_parse_errors():
         pencil_from_dict({"n": 1, "E": [["1"]], "A": [["1/" + digits]]})
     with pytest.raises(ParseError):
         pencil_from_dict({"n": 1, "E": [["1"]], "A": [["1+" + digits + "*i"]]})
+    # An int entry of that size cannot even be turned into text.
+    with pytest.raises(ParseError):
+        pencil_from_dict({"n": 1, "E": [[10**5000]], "A": [[0]]})
 
 
 def _failing_trial() -> TrialResult:

@@ -187,20 +187,30 @@ def test_fredholm_data():
 
 
 def test_from_canonical_blocks():
-    p = OperatorPencil.from_canonical(CanonicalSpec(((gr(2), 2),), ()))
+    p = OperatorPencil.from_canonical(CanonicalSpec(((gr(2), 2),)))
     assert p.e_mat == I2
     assert p.a_mat == Matrix.from_rows([[2, 1], [0, 2]])
 
-    q = OperatorPencil.from_canonical(CanonicalSpec((), (2,)))
+    q = OperatorPencil.from_canonical(CanonicalSpec(((INF, 2),)))
     assert (q.e_mat, q.a_mat) == (J2, I2)
     assert q.spectrum().has_infinity and q.spectrum().infinity_multiplicity == 2
+
+    # Finite blocks are assembled first, whatever the listed order.
+    mixed = [(INF, 1), (gr(2), 2), (INF, 2), (gr(0), 1)]
+    finite_first = [(gr(2), 2), (gr(0), 1), (INF, 1), (INF, 2)]
+    assert OperatorPencil.from_canonical(CanonicalSpec(tuple(mixed))) == OperatorPencil.from_canonical(
+        CanonicalSpec(tuple(finite_first))
+    )
 
 
 def test_canonical_spec_validation_and_weyr_oracle():
     with pytest.raises(ValueError):
-        CanonicalSpec(((gr(1), 0),), ())
-    spec = CanonicalSpec(((gr(1), 3), (gr(1), 1), (gr(0), 2)), (2, 1))
+        CanonicalSpec(((gr(1), 0),))
+    with pytest.raises(ValueError):
+        CanonicalSpec(((INF, 0),))
+    spec = CanonicalSpec(((gr(1), 3), (INF, 2), (gr(1), 1), (gr(0), 2), (INF, 1)))
     assert spec.total_size == 9
+    assert spec.eigenvalue_points() == (gr(1), gr(0), INF)
     assert spec.expected_weyr_indices(gr(1)) == (2, 1, 1)
     assert spec.expected_weyr_indices(gr(0)) == (1, 1)
     assert spec.expected_weyr_indices(INF) == (2, 1)
@@ -208,7 +218,7 @@ def test_canonical_spec_validation_and_weyr_oracle():
 
 
 def test_apply_equivalence():
-    p = OperatorPencil.from_canonical(CanonicalSpec(((gr(2), 2),), ()))
+    p = OperatorPencil.from_canonical(CanonicalSpec(((gr(2), 2),)))
     assert p.apply_equivalence(I2, I2) == p
     with pytest.raises(SingularMatrixError):
         p.apply_equivalence(Matrix.from_rows([[1, 1], [1, 1]]), I2)
@@ -225,7 +235,7 @@ def test_apply_equivalence():
 
 def test_planted_weyr_structure_survives_equivalence():
     eigen = gr(Fraction(1, 2))
-    spec = CanonicalSpec(((eigen, 2), (eigen, 2), (gr(1), 1)), (2,))
+    spec = CanonicalSpec(((eigen, 2), (eigen, 2), (gr(1), 1), (INF, 2)))
     p = OperatorPencil.from_canonical(spec)
     s = Matrix.from_rows(
         [[1, 0, 0, 0, 0, 0, 0],

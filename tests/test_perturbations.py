@@ -25,7 +25,7 @@ from weyrlab.perturbations import (
     weyr_delta_check,
 )
 from weyrlab.relations import LinearRelation
-from weyrlab.scalars import gr
+from weyrlab.scalars import INF, gr
 
 I2 = Matrix.identity(2)
 J2 = jordan_block(gr(0), 2)
@@ -35,10 +35,8 @@ E2 = vector([0, 1])
 
 
 def test_spec_slot_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         PerturbationSpec(kind="type_v", u=E1, v_func=E1)  # w missing
-    with pytest.raises(ValueError):
-        PerturbationSpec(kind="type_u", u=E1, v_func=E1, w=E2, w_func=E2)
     with pytest.raises(ValueError):
         PerturbationSpec(kind="sideways", u=E1, v_func=E1, w=E2)
 
@@ -52,7 +50,7 @@ def test_apply_perturbation_zero_data_is_identity():
 
 def test_apply_perturbation_worked_example():
     p = OperatorPencil.from_matrices(ZERO2, ZERO2)
-    spec = PerturbationSpec(kind="type_u", u=E1, v_func=E1, w_func=E2)
+    spec = PerturbationSpec(kind="type_u", u=E1, v_func=E1, w=E2)
     hat = apply_perturbation(p, spec)
     assert hat.e_mat == Matrix.from_rows([[1, 0], [0, 0]])
     assert hat.a_mat == Matrix.from_rows([[0, 1], [0, 0]])
@@ -60,7 +58,7 @@ def test_apply_perturbation_worked_example():
 
 def test_apply_perturbation_type_u_on_jordan_pencil():
     p = OperatorPencil.from_matrices(I2, J2)
-    spec = PerturbationSpec(kind="type_u", u=E1, v_func=vector([0, 0]), w_func=E1)
+    spec = PerturbationSpec(kind="type_u", u=E1, v_func=vector([0, 0]), w=E1)
     hat = apply_perturbation(p, spec)
     assert hat.e_mat == I2
     assert hat.a_mat == Matrix.from_rows([[1, 1], [0, 0]])
@@ -104,7 +102,7 @@ def test_matching_distance_bound_randomized():
             spec = PerturbationSpec(kind="type_v", u=u, v_func=vf, w=wx)
             side = OperatorPencil.range_representation
         else:
-            spec = PerturbationSpec(kind="type_u", u=u, v_func=vf, w_func=wx)
+            spec = PerturbationSpec(kind="type_u", u=u, v_func=vf, w=wx)
             side = OperatorPencil.kernel_representation
         hat = apply_perturbation(p, spec)
         assert relation_distance(side(p), side(hat)) <= 1
@@ -112,7 +110,7 @@ def test_matching_distance_bound_randomized():
 
 def test_offside_distance_can_reach_two():
     p = OperatorPencil.from_matrices(ZERO2, ZERO2)
-    type_u = PerturbationSpec(kind="type_u", u=E1, v_func=E1, w_func=E2)
+    type_u = PerturbationSpec(kind="type_u", u=E1, v_func=E1, w=E2)
     hat = apply_perturbation(p, type_u)
     offside = relation_distance(p.range_representation(), hat.range_representation())
     assert offside == 2
@@ -141,7 +139,7 @@ def test_weyr_delta_worked_example():
 def test_weyr_delta_jordan3_perturbation():
     base = OperatorPencil.from_matrices(Matrix.identity(3), jordan_block(gr(0), 3))
     spec = PerturbationSpec(
-        kind="type_u", u=vector([1, 0, 0]), v_func=vector([0, 0, 0]), w_func=vector([0, 0, 1])
+        kind="type_u", u=vector([1, 0, 0]), v_func=vector([0, 0, 0]), w=vector([0, 0, 1])
     )
     pert = apply_perturbation(base, spec)
     res = weyr_delta_check(base, pert)
@@ -209,7 +207,7 @@ def test_irrational_check_with_zero_eigenvalue_and_infinite_block():
 
 
 def test_greedy_shrink_reaches_minimal_inputs():
-    blocks = CanonicalSpec(((gr(1), 2), (gr(0), 1)), (1,))
+    blocks = CanonicalSpec(((gr(1), 2), (gr(0), 1), (INF, 1)))
     s = Matrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     inputs = TrialInputs(
         trial_id=0,
@@ -242,13 +240,13 @@ def test_random_trial_is_deterministic():
 
 
 def test_trial_inputs_build_each_pencil_once():
-    blocks = CanonicalSpec(((gr(1), 2),), (1,))
+    blocks = CanonicalSpec(((gr(1), 2), (INF, 1)))
     inputs = TrialInputs(
         trial_id=0,
         blocks=blocks,
         s_mat=Matrix.identity(3),
         t_mat=Matrix.identity(3),
-        pspec=PerturbationSpec(kind="type_u", u=vector([1, 0, 0]), v_func=vector([0, 1, 0]), w_func=vector([0, 0, 1])),
+        pspec=PerturbationSpec(kind="type_u", u=vector([1, 0, 0]), v_func=vector([0, 1, 0]), w=vector([0, 0, 1])),
     )
     assert inputs.base is inputs.base and inputs.perturbed is inputs.perturbed
     assert inputs.perturbed == apply_perturbation(inputs.base, inputs.pspec)
@@ -331,6 +329,31 @@ def test_shrinking_keeps_the_violation_it_found(monkeypatch):
     names = {v.name for v in res.violations}
     assert "weyr_index_delta" in names
     assert "perturbed_pencil_not_regular" not in names
+
+
+def test_shrunk_failure_report_is_byte_identical(monkeypatch):
+    # Flag every nonzero Weyr index delta, so each of the 6 trials fails and
+    # is shrunk; the sha256 of the report (elapsed_ms dropped, sorted keys)
+    # pins the shrinker's candidate order and its shrunk inputs.
+    import hashlib
+
+    import weyrlab.perturbations as perturbations
+
+    def any_delta(point, tb, tp):
+        out = []
+        for k in range(1, max(len(tb.indices), len(tp.indices), 1) + 1):
+            wb, wp = tb.index_at(k), tp.index_at(k)
+            if wb != wp:
+                out.append(perturbations.Violation("weyr_index_delta", point, k, wb, wp))
+        return out
+
+    monkeypatch.setattr(perturbations, "_index_delta_violations", any_delta)
+    report = run_suite("perturbation_bounds", SuiteConfig(trials=6, seed=42))
+    data = report_to_dict(report, include_elapsed=False)
+    assert report.failed == 6
+    assert [r["name"] for r in data["failures"]] == ["weyr_index_delta"] * 12
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == "5da01eb52a77293f748e5aa13db2300324be8a1deaefb6a2c2a8ef95fc15137d"
 
 
 def test_run_suite_empty():
