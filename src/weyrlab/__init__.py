@@ -50,8 +50,8 @@ from .polynomials import (
     squarefree_part,
 )
 from .gaussian_roots import gaussian_rational_roots
-from .relations import LinearRelation, WeyrTable
-from .pencils import CanonicalSpec, OperatorPencil, SpectrumReport, jordan_block
+from .relations import LinearRelation, SpectrumReport, WeyrTable
+from .pencils import CanonicalSpec, OperatorPencil, jordan_block
 from .perturbations import (
     PerturbationSpec,
     SuiteConfig,

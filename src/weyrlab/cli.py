@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from .errors import ParseError, WeyrlabError
@@ -248,6 +249,13 @@ def cmd_verify(args) -> int:
     return 0 if report.failed == 0 else 1
 
 
+def _parse_int(text: str) -> int:
+    """ASCII -?[0-9]+ only; int() alone would also read other Unicode digits, '_' and spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)  # past the digit limit a ValueError, which argparse reports too
+
+
 def _parse_blocks(text: str) -> CanonicalSpec:
     blocks = []
     for part in text.split(","):
@@ -256,8 +264,8 @@ def _parse_blocks(text: str) -> CanonicalSpec:
             raise WeyrlabError(f"malformed block {part!r}: expected size@eigenvalue")
         size_text, value_text = part.split("@", 1)
         try:
-            size = int(size_text)
-        except ValueError as exc:
+            size = _parse_int(size_text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise WeyrlabError(f"malformed block size {size_text!r}") from exc
         if size <= 0:
             raise WeyrlabError("block sizes must be positive")
@@ -316,16 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a randomized verification suite")
     p_verify.add_argument("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or all")
-    p_verify.add_argument("--trials", type=int, required=True)
-    p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--max-dim", type=int, default=6, dest="max_dim")
-    p_verify.add_argument("--entry-bound", type=int, default=3, dest="entry_bound")
+    p_verify.add_argument("--trials", type=_parse_int, required=True)
+    p_verify.add_argument("--seed", type=_parse_int, required=True)
+    p_verify.add_argument("--max-dim", type=_parse_int, default=6, dest="max_dim")
+    p_verify.add_argument("--entry-bound", type=_parse_int, default=3, dest="entry_bound")
     p_verify.add_argument("--format", choices=("json", "md"), default="json")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a pencil file from canonical blocks")
     p_gen.add_argument("--blocks", required=True, help="e.g. 2@1/1,3@0/1,2@inf")
-    p_gen.add_argument("--seed", type=int, help="scramble by a seeded equivalence")
+    p_gen.add_argument("--seed", type=_parse_int, help="scramble by a seeded equivalence")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
     return parser

@@ -1,8 +1,12 @@
 """Exact matrices over Q(i) and canonical-form subspace arithmetic.
 
 Subspaces are normalized to the column-reduced echelon basis of their
-spanning set, which makes set equality a plain value comparison.  All
-routines use exact field arithmetic; there is no tolerance anywhere.
+spanning set, which makes set equality a plain value comparison.  Every
+subspace operation is one block-matrix expression followed by one
+canonicalizing elimination: the image M S is `column_space(M B)` for the
+basis matrix B of S, and a preimage or an intersection is the column space
+of a row slice of a kernel basis, the kernel of [M | -B] or [B_u | -B_v].
+All routines use exact field arithmetic; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ __all__ = [
     "Matrix",
     "Subspace",
     "Vector",
-    "as_scalar",
     "vector",
     "rref",
     "null_space",
@@ -68,18 +71,6 @@ class Matrix:
         return Matrix(nrows, ncols, tuple(as_scalar(x) for r in rows for x in r))
 
     @staticmethod
-    def from_columns(cols, rows_hint: int | None = None) -> Matrix:
-        cols = [list(c) for c in cols]
-        if not cols:
-            if rows_hint is None:
-                raise DimensionMismatch("cannot infer row count of empty column set")
-            return Matrix(rows_hint, 0, ())
-        nrows = len(cols[0])
-        if any(len(c) != nrows for c in cols):
-            raise DimensionMismatch("ragged columns")
-        return Matrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
-
-    @staticmethod
     def identity(n: int) -> Matrix:
         return Matrix(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
@@ -94,7 +85,7 @@ class Matrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def row_list(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -144,19 +135,6 @@ class Matrix:
                         s = s + aik * b[k * p + j]
                 out.append(s)
         return Matrix(n, p, tuple(out))
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            s = _ZERO
-            row = self.row(i)
-            for k in range(self.cols):
-                if row[k]:
-                    s = s + row[k] * v[k]
-            out.append(s)
-        return tuple(out)
 
     def hstack(self, other: Matrix) -> Matrix:
         if self.rows != other.rows:
@@ -236,15 +214,13 @@ class Subspace:
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors) -> Subspace:
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("spanning vector has wrong length")
-        if not vecs:
-            return Subspace(ambient_dim, Matrix(ambient_dim, 0, ()))
-        rows, pivots = _rref_rows([[as_scalar(x) for x in v] for v in vecs], ambient_dim)
-        basis_rows = rows[: len(pivots)]
-        return Subspace(ambient_dim, Matrix.from_columns(basis_rows, rows_hint=ambient_dim))
+        rows = [[as_scalar(x) for x in v] for v in vectors]
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimensionMismatch("spanning vector has wrong length")
+        rows, pivots = _rref_rows(rows, ambient_dim)
+        # Basis column j is the nonzero RREF row j.
+        entries = tuple(rows[j][i] for i in range(ambient_dim) for j in range(len(pivots)))
+        return Subspace(ambient_dim, Matrix(ambient_dim, len(pivots), entries))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -267,9 +243,6 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return self.basis.columns()
 
-    def __str__(self) -> str:
-        return f"span{{{', '.join('(' + ', '.join(map(str, v)) + ')' for v in self.basis_vectors())}}}"
-
 
 def outer_product(col: Vector, row: Vector) -> Matrix:
     """The rank-at-most-one matrix col * row^T."""
@@ -279,16 +252,14 @@ def outer_product(col: Vector, row: Vector) -> Matrix:
 
 
 def null_space(m: Matrix) -> Subspace:
-    """Kernel {x : m x = 0} in canonical form."""
-    reduced, pivots, rank = rref(m)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
-    vecs = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.at(r, f)
-        vecs.append(v)
+    """Kernel {x : m x = 0} in canonical form, from one vector per free column of the RREF."""
+    reduced, pivots, _ = rref(m)
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    free = [j for j in range(m.cols) if j not in row_of]
+    vecs = [
+        [-reduced.at(row_of[j], f) if j in row_of else (_ONE if j == f else _ZERO) for j in range(m.cols)]
+        for f in free
+    ]
     return Subspace.from_spanning(m.cols, vecs)
 
 
@@ -341,7 +312,7 @@ def _check_same_ambient(u: Subspace, v: Subspace):
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_same_ambient(u, v)
-    return Subspace.from_spanning(u.ambient_dim, u.basis_vectors() + v.basis_vectors())
+    return column_space(u.basis.hstack(v.basis))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -350,11 +321,8 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
         return Subspace.zero(u.ambient_dim)
     # Solve Bu a = Bv b; the intersection is Bu applied to the a-part of
     # ker [Bu | -Bv].
-    combined = u.basis.hstack(-v.basis)
-    ker = null_space(combined)
-    du = u.dim
-    vecs = [u.basis.apply(k[:du]) for k in ker.basis_vectors()]
-    return Subspace.from_spanning(u.ambient_dim, vecs)
+    ker = null_space(u.basis.hstack(-v.basis))
+    return column_space(u.basis * ker.basis.row_slice(0, u.dim))
 
 
 def contains(u: Subspace, v: Subspace) -> bool:
@@ -366,7 +334,7 @@ def contains(u: Subspace, v: Subspace) -> bool:
 def map_image(m: Matrix, s: Subspace) -> Subspace:
     if m.cols != s.ambient_dim:
         raise DimensionMismatch("map domain does not match subspace ambient dimension")
-    return Subspace.from_spanning(m.rows, [m.apply(b) for b in s.basis_vectors()])
+    return column_space(m * s.basis)
 
 
 def map_preimage(m: Matrix, s: Subspace) -> Subspace:
@@ -375,7 +343,5 @@ def map_preimage(m: Matrix, s: Subspace) -> Subspace:
     if s.is_full():
         return Subspace.full(m.cols)
     # m x in s  iff  (x, c) in ker [m | -Bs]; project the kernel to x.
-    combined = m.hstack(-s.basis) if s.dim else m
-    ker = null_space(combined)
-    vecs = [k[: m.cols] for k in ker.basis_vectors()]
-    return Subspace.from_spanning(m.cols, vecs)
+    ker = null_space(m.hstack(-s.basis))
+    return column_space(ker.basis.row_slice(0, m.cols))

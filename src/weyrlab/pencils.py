@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, NotRegularError, NotResolventPointError, 
 from .linalg import (
     Matrix,
     Subspace,
+    column_space,
     map_image,
     map_preimage,
     matrix_inverse,
@@ -30,7 +31,7 @@ from .polynomials import Polynomial, pencil_det_poly
 from .relations import LinearRelation, SpectrumReport, WeyrTable, chain_level
 from .scalars import INF, ExtendedScalar, GaussianRational, Infinity, gr, lex_key
 
-__all__ = ["OperatorPencil", "SpectrumReport", "CanonicalSpec", "jordan_block"]
+__all__ = ["OperatorPencil", "CanonicalSpec", "jordan_block"]
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ class OperatorPencil:
 
     def range_representation(self) -> LinearRelation:
         """A E^{-1} = ran [E ; A]: pairs (E y, A y)."""
-        stacked = self.e_mat.vstack(self.a_mat)
-        return LinearRelation(self.n, self.n, Subspace.from_spanning(2 * self.n, stacked.columns()))
+        return LinearRelation(self.n, self.n, column_space(self.e_mat.vstack(self.a_mat)))
 
     def _resolvent_factor(self, mu: GaussianRational) -> Matrix:
         if not self.resolvent_point(mu):
@@ -139,9 +139,7 @@ class OperatorPencil:
         """A E^{-1} - lam as ran [E(A - mu E)^{-1} ; I + (mu - lam) E(A - mu E)^{-1}]."""
         ef = self.e_mat * self._resolvent_factor(mu)
         mixed = Matrix.identity(self.n) + ef.scale(mu - lam)
-        return LinearRelation(
-            self.n, self.n, Subspace.from_spanning(2 * self.n, ef.vstack(mixed).columns())
-        )
+        return LinearRelation(self.n, self.n, column_space(ef.vstack(mixed)))
 
     def resolvent_form_kernel(self, mu: GaussianRational, lam: GaussianRational) -> LinearRelation:
         """E^{-1} A - lam as ker [I + (mu - lam)(A - mu E)^{-1} E, -(A - mu E)^{-1} E]."""

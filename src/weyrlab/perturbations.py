@@ -177,7 +177,9 @@ def _residual_multiplicity_violations(
 
     At a root of `own`'s residual that `other` does not share, the other
     Weyr table is empty, so the bound forces dim ker(lam E - A) <= 1 there.
-    With g the stripped square-free residual, mu the first of 0..n with
+    A simple root has a one-dimensional eigenspace and cannot break it, so
+    g is the square-free part of the residual's repeated roots, stripped of
+    the roots `other` shares.  With mu the first of 0..n with
     det(mu E - A) != 0, M = (A - mu E)^-1 E and h(v) = v^deg g * g(mu + 1/v),
     ker h(M) is the direct sum of the ker(lam E - A) over the roots lam of
     g, so the bound fails exactly when rank h(M) < n - deg g.  Roots shared
@@ -185,9 +187,9 @@ def _residual_multiplicity_violations(
     skipped.
     """
     residual = own.spectrum().residual
-    if residual.degree <= 0:
+    if residual.degree <= 1:
         return []
-    g = squarefree_part(residual)
+    g = squarefree_part(poly_gcd(residual, residual.derivative()))
     shared = poly_gcd(g, other.det_poly)
     if shared.degree > 0:
         g = g.exact_div(shared)
@@ -215,7 +217,9 @@ def weyr_delta_check(
 
     With points=None the evaluation set is the union of both Q(i)
     eigenvalue sets plus infinity, and eigenvalues outside Q(i) are checked
-    through the residual polynomials.
+    through the residual polynomials.  Eigenvalues outside Q(i) that both
+    pencils share are not compared yet, so a passing result says nothing
+    about them.
     """
     if not base.is_regular or not pert.is_regular:
         raise NotRegularError("Weyr delta bounds assume regular base and perturbed pencils")

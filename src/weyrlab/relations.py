@@ -1,12 +1,15 @@
 """Finite-dimensional linear relations: subspaces of F^m x F^n.
 
 A relation is stored only through the canonical form of its span, so
-relation equality is value equality and every operation reduces to exact
-subspace computations on block matrices.  Compositions go through the
-fiber-product kernel of a stacked system.  Root subspaces come from one
-chain per point: `root_chain` composes the shifted relation until the
-subspaces S_1, S_2, ... stop growing, and `root_subspace`, the stabilized
-root subspace and `weyr_table` are all read from that chain.
+relation equality is value equality.  With [P; Q] the span basis, every
+operation is the column space of one block matrix (Arens' calculus):
+[I; M] is the graph of M, [Q; P] the inverse, [P; Q - lam P] the shift
+L - lam, and [P_i K_top; Q_o K_bottom] the composition, with [K_top;
+K_bottom] a basis of the fiber-product kernel ker [Q_i | -P_o].  Root
+subspaces come from one chain per point: `root_chain` composes the shifted
+relation until the subspaces S_1, S_2, ... stop growing, and
+`root_subspace`, the stabilized root subspace and `weyr_table` are all read
+from that chain.
 """
 
 from __future__ import annotations
@@ -132,8 +135,7 @@ class LinearRelation:
 
     @staticmethod
     def from_graph(m: Matrix) -> LinearRelation:
-        stacked = Matrix.identity(m.cols).vstack(m)
-        return LinearRelation(m.cols, m.rows, Subspace.from_spanning(m.cols + m.rows, stacked.columns()))
+        return LinearRelation(m.cols, m.rows, column_space(Matrix.identity(m.cols).vstack(m)))
 
     @staticmethod
     def identity(n: int) -> LinearRelation:
@@ -173,27 +175,18 @@ class LinearRelation:
             raise DimensionMismatch("composition needs inner.dim_y == outer.dim_x")
         pi, qi = inner.x_block(), inner.y_block()
         po, qo = self.x_block(), self.y_block()
-        ker = null_space(qi.hstack(-po))
-        di = pi.cols
-        vecs = []
-        for c in ker.basis_vectors():
-            a, b = c[:di], c[di:]
-            vecs.append(pi.apply(a) + qo.apply(b))
-        return LinearRelation(inner.dim_x, self.dim_y, Subspace.from_spanning(inner.dim_x + self.dim_y, vecs))
+        k = null_space(qi.hstack(-po)).basis
+        top, bottom = k.row_slice(0, pi.cols), k.row_slice(pi.cols, k.rows)
+        return LinearRelation(inner.dim_x, self.dim_y, column_space((pi * top).vstack(qo * bottom)))
 
     def inverse(self) -> LinearRelation:
-        vecs = [v[self.dim_x :] + v[: self.dim_x] for v in self.span.basis_vectors()]
-        return LinearRelation(self.dim_y, self.dim_x, Subspace.from_spanning(self.dim_y + self.dim_x, vecs))
+        return LinearRelation(self.dim_y, self.dim_x, column_space(self.y_block().vstack(self.x_block())))
 
     def shift(self, lam: GaussianRational) -> LinearRelation:
         """self - lam: {(x, y - lam x) : (x, y) in self}."""
         self._require_square()
-        n = self.dim_x
-        vecs = []
-        for v in self.span.basis_vectors():
-            x, y = v[:n], v[n:]
-            vecs.append(x + tuple(yi - lam * xi for xi, yi in zip(x, y)))
-        return LinearRelation(n, n, Subspace.from_spanning(2 * n, vecs))
+        p = self.x_block()
+        return LinearRelation(self.dim_x, self.dim_y, column_space(p.vstack(self.y_block() - p.scale(lam))))
 
     def power(self, k: int) -> LinearRelation:
         """k-fold composition; exits early once the powers stabilize."""
@@ -301,8 +294,6 @@ class LinearRelation:
         n = self.dim_x
         r_mat = self.shift(mu).inverse().as_operator_matrix()
         mixed = Matrix.identity(n) + r_mat.scale(mu - lam)
-        via_range = LinearRelation(
-            n, n, Subspace.from_spanning(2 * n, r_mat.vstack(mixed).columns())
-        )
+        via_range = LinearRelation(n, n, column_space(r_mat.vstack(mixed)))
         via_kernel = LinearRelation(n, n, null_space(mixed.hstack(-r_mat)))
         return via_range, via_kernel

@@ -237,6 +237,39 @@ def test_gen_rejects_malformed_blocks(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("blocks", ["\u0662@1,1_0@inf,1 @0", "\u0662@1", "1_0@inf", "1 @0", "+2@1"])
+def test_gen_block_sizes_are_ascii_integers(tmp_path, capsys, blocks):
+    # int() would read Arabic-Indic 2, "1_0", "1 " and "+2" as 2, 10, 1 and 2.
+    out = tmp_path / "x.json"
+    code, _, err = run_cli(capsys, "gen", "--blocks", blocks, "--out", str(out))
+    assert code == 2 and err.startswith("error: malformed block size")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "singular_subspace", "--trials", "1", "--seed", "\u0663"],
+        ["verify", "--suite", "singular_subspace", "--trials", " 1_0", "--seed", "1"],
+        ["verify", "--suite", "singular_subspace", "--trials", "1", "--seed", "1", "--max-dim", "\u0663"],
+        ["verify", "--suite", "singular_subspace", "--trials", "1", "--seed", "1", "--entry-bound", "3 "],
+        ["gen", "--blocks", "1@0", "--seed", "\u0663", "--out", "missing-dir/x.json"],
+    ],
+    ids=["verify_seed", "verify_trials", "verify_max_dim", "verify_entry_bound", "gen_seed"],
+)
+def test_integer_options_are_ascii_integers(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer" in capsys.readouterr().err
+
+
+def test_negative_verify_seed_is_accepted(capsys):
+    code, text, _ = run_cli(capsys, "verify", "--suite", "singular_subspace", "--trials", "1",
+                            "--seed", "-3", "--format", "md")
+    assert code == 0 and "- seed: -3" in text
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing_directory", "directory"])
 def test_gen_unwritable_out_is_an_input_error(tmp_path, target):
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from weyrlab.perturbations import (
     run_suite,
     weyr_delta_check,
 )
+from weyrlab.polynomials import Polynomial
 from weyrlab.relations import LinearRelation
 from weyrlab.scalars import INF, gr
 
@@ -204,6 +205,28 @@ def test_irrational_check_with_zero_eigenvalue_and_infinite_block():
     one_block = [[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]]
     assert "irrational_eigenvalue_multiplicity_base" in names(two_blocks)
     assert "irrational_eigenvalue_multiplicity_base" not in names(one_block)
+
+
+@pytest.mark.parametrize(
+    "head, flagged",
+    [
+        ([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]], True),  # C + C
+        ([[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 4], [0, 0, 1, 0]], False),  # companion((x^2 - 2)^2)
+    ],
+    ids=["two_blocks", "one_block"],
+)
+def test_irrational_check_next_to_a_simple_residual_factor(head, flagged):
+    # Residual (x^2 - 2)^2 (x^2 - 3): the head block carries the repeated
+    # factor and D, the companion of x^2 - 3, a simple one.  Only the head
+    # decides: C + C has two eigenvectors at each of +-sqrt(2), the one-block
+    # companion one, and +-sqrt(3) are simple roots.
+    n = 6
+    a = Matrix.from_rows([row + [0, 0] for row in head] + [[0] * 5 + [3], [0] * 4 + [1, 0]])
+    base = OperatorPencil.from_matrices(Matrix.identity(n), a)
+    other = OperatorPencil.from_matrices(Matrix.identity(n), jordan_block(gr(1), n))
+    assert base.spectrum().residual.monic() == Polynomial.from_coeffs([-12, 0, 16, 0, -7, 0, 1])
+    names = {v.name for v in weyr_delta_check(base, other).violations}
+    assert ("irrational_eigenvalue_multiplicity_base" in names) == flagged
 
 
 def test_greedy_shrink_reaches_minimal_inputs():
